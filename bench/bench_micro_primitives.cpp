@@ -369,6 +369,81 @@ run_heap_series()
           [](const nvm::GcStats& s) { return s.relocated_blocks; });
 }
 
+/**
+ * Link-tracing cost of the audit on a memcached-shaped corpus: 256 Ki
+ * items, each with three links (hash-chain next, LRU next and prev),
+ * hung off one wide bucket table.  Unlike the list corpus above --
+ * whose audit is mostly the header walk -- this one resolves ~1 Mi
+ * links, and its bucket table and item level are wide enough for the
+ * parallel mark.  One BENCH_heap.json row, gc_audit_memc, ops =
+ * blocks walked.
+ */
+void
+run_heap_memc_series()
+{
+    // Payload: a link count, then the links (the bucket table and the
+    // items share the layout; items always hold three).
+    nvm::TypeDescriptor d;
+    d.name = "bench.memc_fan";
+    d.enumerate_link_fields = [](const nvm::PersistentHeap& heap,
+                                 uint64_t pub, std::vector<uint64_t>* out) {
+        const uint64_t n = *heap.resolve<uint64_t>(pub);
+        for (uint64_t i = 0; i < n; ++i)
+            out->push_back(pub + 8 + 8 * i);
+    };
+    nvm::TypeRegistry::instance().register_type(nvm::TypeId::kTestBlock,
+                                                d);
+
+    nvm::PersistentHeap heap({.size = 64u << 20});
+    nvm::RealDomain dom;
+    nvm::NvHeap h(heap, dom);
+    constexpr uint64_t kItems = 256 * 1024;
+    constexpr uint64_t kBuckets = kItems;
+    const auto alloc_fan = [&](uint64_t links) {
+        std::vector<uint64_t> init(1 + links, 0);
+        init[0] = links;
+        const size_t bytes = 8 * init.size();
+        const uint64_t off =
+            h.alloc(bytes, dom, nvm::TypeId::kTestBlock);
+        dom.store(heap.resolve<void>(off), init.data(), bytes);
+        return off;
+    };
+    const uint64_t table = alloc_fan(kBuckets);
+    auto* buckets = heap.resolve<uint64_t>(table + 8);
+    uint64_t prev = 0;
+    for (uint64_t i = 0; i < kItems; ++i) {
+        const uint64_t it = alloc_fan(3);
+        auto* links = heap.resolve<uint64_t>(it + 8);
+        const uint64_t b = (i * 0x9e3779b97f4a7c15ull) % kBuckets;
+        links[0] = buckets[b]; // chain next
+        buckets[b] = it;
+        links[2] = prev; // LRU prev
+        if (prev != 0)
+            heap.resolve<uint64_t>(prev + 8)[1] = it; // LRU next
+        prev = it;
+    }
+    // The corpus is bench input, not a crash subject: persist it once.
+    dom.flush(heap.resolve<void>(heap.arena_begin()),
+              heap.size() - heap.arena_begin());
+    dom.fence();
+    nvm::RootRegistry::set_ref(heap, nvm::RootSlot::kUser0, table, dom);
+
+    nvm::HeapGc gc(h, dom);
+    const auto t0 = std::chrono::steady_clock::now();
+    const nvm::GcStats s = gc.audit();
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    std::printf("%-12s %10llu %14.0f live %llu  leaked %llu  index/mark/"
+                "census %.1f/%.1f/%.1f ms\n",
+                "gc_audit_memc", static_cast<unsigned long long>(s.blocks),
+                seconds > 0 ? double(s.blocks) / seconds : 0.0,
+                static_cast<unsigned long long>(s.live_blocks),
+                static_cast<unsigned long long>(s.leaked_blocks),
+                s.index_ns / 1e6, s.mark_ns / 1e6, s.census_ns / 1e6);
+    bench::emit_json_row("heap", "gc_audit_memc", 1, s.blocks, seconds);
+}
+
 // --------------------------------------------------------------------------
 // Record/replay overhead series (BENCH_fuzz.json)
 // --------------------------------------------------------------------------
@@ -522,6 +597,7 @@ main(int argc, char** argv)
     run_alloc_series();
     run_boundary_series();
     run_heap_series();
+    run_heap_memc_series();
     run_rr_overhead_series();
     return 0;
 }

@@ -46,7 +46,10 @@ IdoRuntime::recover()
         const nvm::GcStats gs =
             cfg_.gc_repair_on_recovery ? gc.repair() : gc.audit();
         nvm::HeapGc::publish(gs);
-        tl.add_phase("heap-gc", stat_now_ns() - t, gs.leaked_blocks);
+        tl.add_phase("heap-gc", stat_now_ns() - t, gs.leaked_blocks,
+                     {{"index_ns", gs.index_ns},
+                      {"mark_ns", gs.mark_ns},
+                      {"census_ns", gs.census_ns}});
         tl.set_field("leaked_blocks", gs.leaked_blocks);
         tl.set_field("leaked_bytes", gs.leaked_bytes);
         if (cfg_.gc_repair_on_recovery)
@@ -72,10 +75,17 @@ IdoRuntime::recover()
     // The crashed run's transient locks are all implicitly released.
     uint64_t t0 = stat_now_ns();
     bump_lock_epoch();
-    // Relink any block the crashed epoch stranded mid-free
-    // (NvHeap's online leak reclamation).
-    const uint64_t reclaimed = alloc_.recover_leaks(dom_);
-    tl.add_phase("leak-reclaim", stat_now_ns() - t0, reclaimed);
+    // Relink any block the crashed epoch stranded mid-free (NvHeap's
+    // online leak reclamation).  A crash attach already ran it in the
+    // NvHeap constructor; a second whole-heap walk would find nothing,
+    // so report that reclaim instead of repeating it.
+    const nvm::NvHeap::AttachReclaim at_attach = alloc_.take_attach_reclaim();
+    uint64_t reclaimed = at_attach.blocks;
+    uint64_t reclaim_ns = at_attach.ns;
+    if (!at_attach.ran)
+        reclaimed = alloc_.recover_leaks(dom_);
+    reclaim_ns += stat_now_ns() - t0;
+    tl.add_phase("leak-reclaim", reclaim_ns, reclaimed);
     tl.set_field("leaks_reclaimed", reclaimed);
 
     t0 = stat_now_ns();

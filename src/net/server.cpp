@@ -212,14 +212,15 @@ Server::on_conn_event(uint64_t conn_id, uint32_t events)
     if (it == conns_.end())
         return;
     Conn& c = *it->second;
-    if (events & (EPOLLHUP | EPOLLERR)) {
-        close_conn(c);
+    if (c.fd < 0) // closed shell awaiting its shard replies
         return;
-    }
-    if (events & EPOLLOUT)
-        flush_out(c);
-    if (events & EPOLLIN)
+    if (events & (EPOLLHUP | EPOLLERR))
+        close_conn(c);
+    if ((events & EPOLLOUT) && c.fd >= 0)
+        flush_out(c); // may close_conn (write error / drained quit)
+    if ((events & EPOLLIN) && c.fd >= 0)
         read_conn(c);
+    reap_defunct();
 }
 
 void
@@ -244,8 +245,12 @@ Server::read_conn(Conn& c)
         return;
     }
     MemcRequest rq;
-    while (c.parser.next(&rq))
+    // A quit mid-burst closes the conn inside route_request; the shell
+    // stays valid (deferred reap) but nothing after it may be served.
+    while (c.fd >= 0 && c.parser.next(&rq))
         route_request(c, std::move(rq));
+    if (c.fd < 0)
+        return;
     if (c.parser.poisoned())
         c.closing = true;
     release_ready(c); // may close if closing && drained
@@ -323,6 +328,8 @@ Server::release_ready(Conn& c)
 void
 Server::flush_out(Conn& c)
 {
+    if (c.fd < 0)
+        return;
     while (!c.out.empty()) {
         ssize_t n = ::write(c.fd, c.out.data(), c.out.size());
         if (n > 0) {
@@ -377,11 +384,21 @@ Server::close_conn(Conn& c)
     c.out.clear();
     account_pending(c);
     conn_count_.fetch_sub(1, std::memory_order_relaxed);
-    if (c.inflight == 0) {
-        conns_.erase(c.id); // destroys c
-    }
-    // else: keep the Conn shell until its shard replies drain, so
-    // drain_completions has somewhere to account them.
+    // Never erase here: callers up the stack (read_conn's parse loop,
+    // on_conn_event's flush-then-read sequence) still hold a Conn&.
+    // reap_defunct() erases it once the event is handled; with shard
+    // replies outstanding the shell stays until drain_completions
+    // accounts the last one.
+    if (c.inflight == 0)
+        defunct_.push_back(c.id);
+}
+
+void
+Server::reap_defunct()
+{
+    for (uint64_t id : defunct_)
+        conns_.erase(id);
+    defunct_.clear();
 }
 
 void
@@ -405,8 +422,9 @@ Server::drain_completions()
             continue;
         }
         c.reorder.emplace(r.seq, std::move(r.data));
-        release_ready(c);
+        release_ready(c); // may close_conn (drained quit)
     }
+    reap_defunct();
 }
 
 std::string

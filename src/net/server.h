@@ -131,6 +131,7 @@ class Server
     void release_ready(Conn& c);
     void flush_out(Conn& c);
     void close_conn(Conn& c);
+    void reap_defunct();
     void drain_completions();
     void account_pending(Conn& c);
     std::string stats_reply();
@@ -148,6 +149,10 @@ class Server
     std::vector<ShardReply> done_; ///< worker -> loop completions
 
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
+    /// Closed conns with nothing in flight; erased from conns_ by
+    /// reap_defunct() at the end of each loop callback, never while a
+    /// Conn& is live.
+    std::vector<uint64_t> defunct_;
     uint64_t next_conn_id_ = 1;
     uint64_t served_on_loop_ = 0; ///< version/quit/errors answered inline
 

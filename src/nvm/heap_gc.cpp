@@ -1,11 +1,15 @@
 #include "nvm/heap_gc.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstring>
+#include <thread>
 
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
 #include "stats/metrics.h"
+#include "stats/stat_plane.h"
 
 namespace ido::nvm {
 
@@ -40,7 +44,115 @@ hex(uint64_t v)
     return buf;
 }
 
+/** Frontier entries a mark thread claims at a time. */
+constexpr size_t kClaimBatch = 64;
+
+/**
+ * A problem the mark found in one traced block, kept as raw facts and
+ * rendered to text only if it survives the findings cap.  Findings are
+ * ordered by (src, seq): the block holding the bad link, then the
+ * link's position in that block -- the same on every schedule.
+ */
+struct MarkFinding
+{
+    enum Kind : uint8_t
+    {
+        kUndersized,   ///< block smaller than its type's payload
+        kFieldOutside, ///< link field lies outside the heap
+        kHitsNoBlock,  ///< link value resolves to no block
+        kNonLive,      ///< link value resolves to a non-LIVE block
+    };
+    uint64_t src;    ///< raw offset of the traced block
+    uint64_t seq;    ///< 0 for the block itself, 1.. for its link fields
+    uint64_t target; ///< the link value (kHitsNoBlock / kNonLive)
+    const TypeDescriptor* type;
+    Kind kind;
+
+    bool
+    operator<(const MarkFinding& o) const
+    {
+        return src != o.src ? src < o.src : seq < o.seq;
+    }
+
+    std::string
+    render() const
+    {
+        const std::string link =
+            "link " + type->name + "@" + hex(src) + " -> " + hex(target);
+        switch (kind) {
+        case kUndersized:
+            return "block " + hex(src) + " typed " + type->name
+                   + " is smaller than its declared payload";
+        case kFieldOutside:
+            return "link field of " + hex(src) + " lies outside the heap";
+        case kHitsNoBlock:
+            return link + " hits no block";
+        case kNonLive:
+            return link + " targets a non-LIVE block";
+        }
+        return link;
+    }
+};
+
+/**
+ * fn(worker, k) for every k < n on `workers` threads -- worker 0 is
+ * the calling thread -- each claiming `batch` consecutive indexes at a
+ * time, so uneven items balance out.
+ */
+template <typename Fn>
+void
+parallel_for(size_t n, size_t workers, size_t batch, Fn&& fn)
+{
+    std::atomic<size_t> cursor{0};
+    const auto run = [&](size_t worker) {
+        for (;;) {
+            const size_t begin =
+                cursor.fetch_add(batch, std::memory_order_relaxed);
+            if (begin >= n)
+                return;
+            const size_t end = std::min(begin + batch, n);
+            for (size_t k = begin; k < end; ++k)
+                fn(worker, k);
+        }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w)
+        helpers.emplace_back(run, w);
+    run(0);
+    for (std::thread& t : helpers)
+        t.join();
+}
+
+size_t
+worker_count()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 } // namespace
+
+/** One mark thread's private state; lanes are folded after the mark. */
+struct HeapGc::MarkLane
+{
+    std::vector<uint32_t> next;   ///< blocks this lane claimed this level
+    std::vector<uint64_t> fields; ///< scratch: one block's link fields
+    uint64_t dangling = 0;
+    /** The kMaxFindings + 1 lowest findings seen (a max-heap): enough
+     *  to fill the report and decide whether it was elided. */
+    std::vector<MarkFinding> findings;
+
+    void
+    find(const MarkFinding& f)
+    {
+        findings.push_back(f);
+        std::push_heap(findings.begin(), findings.end());
+        if (findings.size() > kMaxFindings + 1) {
+            std::pop_heap(findings.begin(), findings.end());
+            findings.pop_back();
+        }
+    }
+};
 
 std::string
 GcStats::to_json() const
@@ -72,6 +184,9 @@ GcStats::to_json() const
     num("relocated_bytes", relocated_bytes);
     num("chunks_retired", chunks_retired);
     num("journal_resolved", journal_resolved);
+    num("index_ns", index_ns);
+    num("mark_ns", mark_ns);
+    num("census_ns", census_ns);
     s += "\"repair_refused\":";
     s += repair_refused ? "true," : "false,";
     s += "\"relocation_refused\":";
@@ -101,10 +216,17 @@ HeapGc::published_off(const BlockInfo& b) const
 size_t
 HeapGc::find_block(uint64_t off) const
 {
-    // blocks_ is sorted by raw offset (the walk is monotone); an
-    // interior pointer lands anywhere in [raw, raw + size).
-    auto it = std::upper_bound(
-        blocks_.begin(), blocks_.end(), off,
+    // An interior pointer lands anywhere in [raw, raw + size): the
+    // owner is the last block starting at or before off.  Blocks before
+    // the granule's first start before the granule, blocks from the
+    // next granule's first on start after off, so the search stays
+    // inside the few blocks that start in off's granule.
+    if (off < granule_base_ || off >= granule_limit_)
+        return kNpos;
+    const size_t g = (off - granule_base_) >> granule_shift_;
+    const auto it = std::upper_bound(
+        blocks_.begin() + granule_first_[g],
+        blocks_.begin() + granule_first_[g + 1], off,
         [](uint64_t v, const BlockInfo& b) { return v < b.raw; });
     if (it == blocks_.begin())
         return kNpos;
@@ -124,14 +246,28 @@ HeapGc::note(GcStats* s, std::string line) const
         s->findings.push_back("... (further findings elided)");
 }
 
+uint64_t
+HeapGc::block_containing(uint64_t off) const
+{
+    const size_t i = find_block(off);
+    return i == kNpos ? 0 : blocks_[i].raw;
+}
+
+std::vector<uint64_t>
+HeapGc::marked_blocks() const
+{
+    std::vector<uint64_t> out;
+    for (const BlockInfo& b : blocks_)
+        if (b.marked)
+            out.push_back(b.raw);
+    return out;
+}
+
 void
 HeapGc::collect_link_fields(const BlockInfo& b,
                             std::vector<uint64_t>* out) const
 {
-    const TypeId t = NvHeap::meta_type(b.meta);
-    if (t == TypeId::kUntyped)
-        return;
-    const TypeDescriptor* d = TypeRegistry::instance().describe(t);
+    const TypeDescriptor* d = descriptor(b.meta);
     if (d == nullptr)
         return;
     const uint64_t pub = published_off(b);
@@ -144,51 +280,189 @@ HeapGc::collect_link_fields(const BlockInfo& b,
 void
 HeapGc::build_index()
 {
+    types_ = TypeRegistry::instance().snapshot();
     blocks_.clear();
     chunks_.clear();
     PersistentHeap& ph = heap_.heap_;
     const NvHeap::HeapState* st = heap_.state();
     const uint64_t bump = st->bump;
     constexpr uint64_t kHdr = sizeof(NvHeap::BlockHeader);
+
+    // Arena level: chunks and the oversize blocks carved between them,
+    // in address order.  A segment of size 0 is the chunk at off.
+    struct Segment
+    {
+        uint64_t off, size, meta;
+    };
+    std::vector<Segment> segs;
+    size_t nchunks = 0;
     uint64_t off = heap_.data_begin_;
     while (off + kHdr <= bump) {
         const auto* words = ph.resolve<uint64_t>(off);
         if (words[0] == NvHeap::kChunkMagic) {
-            const uint64_t chunk_end = off + words[1];
-            IDO_ASSERT(words[1] == NvHeap::kChunkBytes && chunk_end <= bump,
+            IDO_ASSERT(words[1] == NvHeap::kChunkBytes
+                           && off + words[1] <= bump,
                        "heap_gc: malformed chunk header");
-            ChunkInfo ci{off, blocks_.size(), blocks_.size()};
-            uint64_t b = off + kHdr;
-            while (b + kHdr <= chunk_end) {
-                const auto* bw = ph.resolve<uint64_t>(b);
-                if (!recognized_state(bw[1] & 0xffff))
-                    break; // unused (or retired-and-zeroed) tail
-                IDO_ASSERT(bw[0] != 0 && b + kHdr + bw[0] <= chunk_end,
-                           "heap_gc: block overruns its chunk");
-                blocks_.push_back(BlockInfo{b + kHdr, bw[0], bw[1]});
-                b += kHdr + bw[0];
-            }
-            ci.last_block = blocks_.size();
-            chunks_.push_back(ci);
-            off = chunk_end;
+            segs.push_back(Segment{off, 0, 0});
+            ++nchunks;
+            off += words[1];
         } else {
             if (!recognized_state(words[1] & 0xffff))
                 break; // torn arena tail (crashed carve)
             IDO_ASSERT(words[0] != 0 && off + kHdr + words[0] <= ph.size(),
                        "heap_gc: oversize block overruns the arena");
-            blocks_.push_back(BlockInfo{off + kHdr, words[0], words[1]});
+            segs.push_back(Segment{off + kHdr, words[0], words[1]});
             off += kHdr + words[0];
         }
     }
+
+    // Chunk level: fn(raw, size, meta) for each block packed in a chunk.
+    const auto walk_chunk = [&ph](uint64_t chunk, auto&& fn) {
+        const uint64_t chunk_end = chunk + NvHeap::kChunkBytes;
+        uint64_t b = chunk + kHdr;
+        while (b + kHdr <= chunk_end) {
+            const auto* bw = ph.resolve<uint64_t>(b);
+            if (!recognized_state(bw[1] & 0xffff))
+                break; // unused (or retired-and-zeroed) tail
+            IDO_ASSERT(bw[0] != 0 && b + kHdr + bw[0] <= chunk_end,
+                       "heap_gc: block overruns its chunk");
+            fn(b + kHdr, bw[0], bw[1]);
+            b += kHdr + bw[0];
+        }
+    };
+
+    // The header walk is one dependent cache miss per block, so a big
+    // heap's chunks are walked on every core -- once to count, so
+    // blocks_ is sized exactly (no second copy of the index), once to
+    // fill each chunk's slice.
+    const size_t workers = nchunks < kParallelChunks ? 1 : worker_count();
+    std::vector<size_t> first(segs.size() + 1, 0);
+    parallel_for(segs.size(), workers, 8, [&](size_t, size_t k) {
+        size_t n = 1;
+        if (segs[k].size == 0) {
+            n = 0;
+            walk_chunk(segs[k].off,
+                       [&n](uint64_t, uint64_t, uint64_t) { ++n; });
+        }
+        first[k + 1] = n;
+    });
+    for (size_t k = 0; k < segs.size(); ++k)
+        first[k + 1] += first[k];
+    blocks_.resize(first.back());
+    parallel_for(segs.size(), workers, 8, [&](size_t, size_t k) {
+        const Segment& sg = segs[k];
+        if (sg.size != 0) {
+            blocks_[first[k]] = BlockInfo{sg.off, sg.size, sg.meta};
+            return;
+        }
+        size_t i = first[k];
+        walk_chunk(sg.off, [&](uint64_t raw, uint64_t size, uint64_t meta) {
+            IDO_ASSERT(i < first[k + 1], "heap_gc: chunk changed mid-index");
+            blocks_[i++] = BlockInfo{raw, size, meta};
+        });
+    });
+    chunks_.reserve(nchunks);
+    for (size_t k = 0; k < segs.size(); ++k)
+        if (segs[k].size == 0)
+            chunks_.push_back(ChunkInfo{segs[k].off, first[k], first[k + 1]});
+    build_granules();
+}
+
+void
+HeapGc::build_granules()
+{
+    granule_first_.clear();
+    granule_base_ = granule_limit_ = 0;
+    granule_shift_ = 0;
+    if (blocks_.empty())
+        return;
+    IDO_ASSERT(blocks_.size() < UINT32_MAX, "heap_gc: too many blocks");
+    // Blocks are sorted and disjoint: the last one ends the used span.
+    granule_base_ = blocks_.front().raw;
+    granule_limit_ = blocks_.back().raw + blocks_.back().size;
+    const uint64_t span = granule_limit_ - granule_base_;
+    const uint64_t want =
+        std::max<uint64_t>(64, span / blocks_.size() * 4);
+    granule_shift_ = static_cast<unsigned>(std::bit_width(want - 1));
+    const size_t granules =
+        static_cast<size_t>(((span - 1) >> granule_shift_) + 1);
+    granule_first_.resize(granules + 1);
+    size_t i = 0;
+    for (size_t g = 0; g <= granules; ++g) {
+        const uint64_t start =
+            granule_base_ + (static_cast<uint64_t>(g) << granule_shift_);
+        while (i < blocks_.size() && blocks_[i].raw < start)
+            ++i;
+        granule_first_[g] = static_cast<uint32_t>(i);
+    }
+}
+
+void
+HeapGc::trace_block(size_t i, MarkLane* lane, std::vector<MarkLane>* fan)
+{
+    const BlockInfo& b = blocks_[i];
+    const TypeDescriptor* d = descriptor(b.meta);
+    if (d == nullptr)
+        return; // opaque: reachable, never traced through
+    const uint64_t pub = published_off(b);
+    if (d->payload_size != 0 && pub + d->payload_size > b.raw + b.size) {
+        lane->find({b.raw, 0, 0, d, MarkFinding::kUndersized});
+        return;
+    }
+    lane->fields.clear();
+    collect_link_fields(b, &lane->fields);
+    const std::vector<uint64_t>& fields = lane->fields;
+    if (fan != nullptr && fields.size() >= kParallelFrontier) {
+        // One block with a wide link table (a hash-bucket array) is a
+        // level's worth of work on its own: split its fields.
+        parallel_for(fields.size(), fan->size(), kClaimBatch,
+                     [&](size_t w, size_t k) {
+                         trace_link(b, d, fields[k], k + 1, &(*fan)[w]);
+                     });
+        return;
+    }
+    for (size_t k = 0; k < fields.size(); ++k)
+        trace_link(b, d, fields[k], k + 1, lane);
+}
+
+void
+HeapGc::trace_link(const BlockInfo& b, const TypeDescriptor* d,
+                   uint64_t field, uint64_t seq, MarkLane* lane)
+{
+    PersistentHeap& ph = heap_.heap_;
+    if (field + sizeof(uint64_t) > ph.size()) {
+        ++lane->dangling;
+        lane->find({b.raw, seq, 0, d, MarkFinding::kFieldOutside});
+        return;
+    }
+    const uint64_t v = *ph.resolve<uint64_t>(field);
+    if (v == 0)
+        return;
+    const size_t j = find_block(v);
+    if (j == kNpos) {
+        ++lane->dangling;
+        lane->find({b.raw, seq, v, d, MarkFinding::kHitsNoBlock});
+        return;
+    }
+    BlockInfo& t = blocks_[j];
+    if (NvHeap::meta_state(t.meta) != NvHeap::kBlockLive) {
+        ++lane->dangling;
+        lane->find({b.raw, seq, v, d, MarkFinding::kNonLive});
+        return;
+    }
+    // The plain load keeps already-marked targets (most links in a
+    // dense structure) off the locked exchange.
+    std::atomic_ref<uint8_t> m(t.marked);
+    if (m.load(std::memory_order_relaxed) == 0
+        && m.exchange(1, std::memory_order_relaxed) == 0)
+        lane->next.push_back(static_cast<uint32_t>(j));
 }
 
 void
 HeapGc::mark(GcStats* s)
 {
-    PersistentHeap& ph = heap_.heap_;
-    std::vector<size_t> work;
-    auto mark_target = [&](uint64_t off, const char* what,
-                           const std::string& who) {
+    std::vector<uint32_t> frontier;
+    auto mark_root = [&](uint64_t off, const char* what, const char* who) {
         const size_t i = find_block(off);
         if (i == kNpos) {
             ++s->dangling_links;
@@ -204,8 +478,8 @@ HeapGc::mark(GcStats* s)
             return;
         }
         if (!b.marked) {
-            b.marked = true;
-            work.push_back(i);
+            b.marked = 1;
+            frontier.push_back(static_cast<uint32_t>(i));
         }
     };
 
@@ -213,50 +487,47 @@ HeapGc::mark(GcStats* s)
     // definition (HeapState holds it), never a leak.
     const uint64_t journal = heap_.state()->compact_journal;
     if (journal != 0)
-        mark_target(journal, "journal", "compact_journal");
-    for (const auto& [slot, off] : RootRegistry::block_roots(ph))
-        mark_target(off, "root", RootRegistry::describe(slot).name);
+        mark_root(journal, "journal", "compact_journal");
+    for (const auto& [slot, off] : RootRegistry::block_roots(heap_.heap_))
+        mark_root(off, "root", RootRegistry::describe(slot).name);
 
-    std::vector<uint64_t> fields;
-    while (!work.empty()) {
-        const size_t i = work.back();
-        work.pop_back();
-        const BlockInfo& b = blocks_[i];
-        const TypeId t = NvHeap::meta_type(b.meta);
-        const TypeDescriptor* d =
-            t == TypeId::kUntyped ? nullptr
-                                  : TypeRegistry::instance().describe(t);
-        if (d == nullptr)
-            continue; // opaque: reachable, never traced through
-        const uint64_t pub = published_off(b);
-        if (d->payload_size != 0
-            && pub + d->payload_size > b.raw + b.size) {
-            note(s, "block " + hex(b.raw) + " typed " + d->name
-                        + " is smaller than its declared payload");
-            continue;
+    // Level-synchronous: every block of one level is traced before any
+    // of the next, and each block is traced by whichever lane claims
+    // its mark byte first.  The marked set, the dangling count and the
+    // ordered findings do not depend on which lane that was.
+    std::vector<MarkLane> lanes(worker_count());
+    std::vector<MarkLane>* fan = lanes.size() > 1 ? &lanes : nullptr;
+    while (!frontier.empty()) {
+        for (MarkLane& l : lanes)
+            l.next.clear();
+        if (fan == nullptr || frontier.size() < kParallelFrontier) {
+            for (const uint32_t i : frontier)
+                trace_block(i, &lanes[0], fan);
+        } else {
+            parallel_for(frontier.size(), lanes.size(), kClaimBatch,
+                         [&](size_t w, size_t k) {
+                             trace_block(frontier[k], &lanes[w], nullptr);
+                         });
         }
-        fields.clear();
-        collect_link_fields(b, &fields);
-        for (const uint64_t f : fields) {
-            if (f + sizeof(uint64_t) > ph.size()) {
-                ++s->dangling_links;
-                note(s, "link field of " + hex(b.raw)
-                            + " lies outside the heap");
-                continue;
-            }
-            const uint64_t v = *ph.resolve<uint64_t>(f);
-            if (v == 0)
-                continue;
-            mark_target(v, "link", d->name + "@" + hex(b.raw));
-        }
+        frontier.clear();
+        for (const MarkLane& l : lanes)
+            frontier.insert(frontier.end(), l.next.begin(), l.next.end());
     }
+
+    std::vector<MarkFinding> found;
+    for (const MarkLane& l : lanes) {
+        s->dangling_links += l.dangling;
+        found.insert(found.end(), l.findings.begin(), l.findings.end());
+    }
+    std::sort(found.begin(), found.end());
+    for (const MarkFinding& f : found)
+        note(s, f.render());
 }
 
 void
 HeapGc::census(GcStats* s)
 {
     PersistentHeap& ph = heap_.heap_;
-    auto& types = TypeRegistry::instance();
     for (BlockInfo& b : blocks_) {
         ++s->blocks;
         s->bytes += b.size + sizeof(NvHeap::BlockHeader);
@@ -271,9 +542,7 @@ HeapGc::census(GcStats* s)
         }
         ++s->live_blocks;
         s->live_bytes += b.size + sizeof(NvHeap::BlockHeader);
-        const TypeId t = NvHeap::meta_type(b.meta);
-        const TypeDescriptor* d =
-            t == TypeId::kUntyped ? nullptr : types.describe(t);
+        const TypeDescriptor* d = descriptor(b.meta);
         if (d == nullptr) {
             b.opaque = true;
             ++s->opaque_live;
@@ -289,7 +558,8 @@ HeapGc::census(GcStats* s)
         if (!b.marked) {
             ++s->leaked_blocks;
             s->leaked_bytes += b.size + sizeof(NvHeap::BlockHeader);
-            note(s, "leak: " + std::string(types.name(t)) + " block "
+            note(s, "leak: " + (d ? d->name : std::string("untyped"))
+                        + " block "
                         + hex(b.raw) + " (" + std::to_string(b.size)
                         + "B) is LIVE but unreachable");
         }
@@ -297,13 +567,25 @@ HeapGc::census(GcStats* s)
     s->chunks = chunks_.size();
 }
 
+void
+HeapGc::reach(GcStats* s)
+{
+    uint64_t t = stat_now_ns();
+    build_index();
+    s->index_ns = stat_now_ns() - t;
+    t = stat_now_ns();
+    mark(s);
+    s->mark_ns = stat_now_ns() - t;
+    t = stat_now_ns();
+    census(s);
+    s->census_ns = stat_now_ns() - t;
+}
+
 GcStats
 HeapGc::audit()
 {
     GcStats s;
-    build_index();
-    mark(&s);
-    census(&s);
+    reach(&s);
     return s;
 }
 
@@ -311,9 +593,7 @@ GcStats
 HeapGc::repair()
 {
     GcStats s;
-    build_index();
-    mark(&s);
-    census(&s);
+    reach(&s);
     if (s.leaked_blocks == 0)
         return s;
     // A reachable opaque block may hold the only path to a "leak";
@@ -439,15 +719,17 @@ HeapGc::rewrite_references()
     // Every stored reference lives in a declared link field of a LIVE
     // typed block or in a root slot; rewrite each one that still
     // targets a journaled source extent.  Idempotent: a link already
-    // rewritten no longer hits any extent.
-    build_index();
+    // rewritten no longer hits any extent.  Walks the heap itself
+    // rather than rebuilding blocks_: compact() is still iterating the
+    // index it marked from.
+    types_ = TypeRegistry::instance().snapshot();
     std::vector<uint64_t> fields;
     bool dirty = false;
-    for (const BlockInfo& b : blocks_) {
-        if (NvHeap::meta_state(b.meta) != NvHeap::kBlockLive)
-            continue;
+    heap_.for_each_block([&](uint64_t raw, uint64_t size, uint64_t meta) {
+        if (NvHeap::meta_state(meta) != NvHeap::kBlockLive)
+            return;
         fields.clear();
-        collect_link_fields(b, &fields);
+        collect_link_fields(BlockInfo{raw, size, meta}, &fields);
         for (const uint64_t f : fields) {
             if (f + sizeof(uint64_t) > ph.size())
                 continue;
@@ -459,7 +741,7 @@ HeapGc::rewrite_references()
                 dirty = true;
             }
         }
-    }
+    });
     if (dirty) {
         heap_.hook();
         dom_.fence();
@@ -686,9 +968,7 @@ HeapGc::compact()
     resolve_journal(&s);
     heap_.recover_leaks(dom_);
 
-    build_index();
-    mark(&s);
-    census(&s);
+    reach(&s);
 
     if (s.pinned_blocks != 0 || s.opaque_live != 0) {
         // A pinned log record's register snapshot -- or any opaque

@@ -40,6 +40,17 @@
  *               exists, since their interiors may hold offsets the GC
  *               cannot retarget.
  *
+ * Cost model (DESIGN.md section 13): one header walk builds a block
+ * index sorted by offset plus a coarse granule table over it, so
+ * resolving a link (interior pointers included) is one table read and
+ * a search among the few blocks that start in the granule -- the mark
+ * is O(blocks + links).  The mark runs level by level from the roots;
+ * a level with at least kParallelFrontier blocks is traced by
+ * hardware_concurrency() threads claiming blocks with one atomic mark
+ * byte each, smaller levels stay on the calling thread.  Findings are
+ * ordered by the offset of the block holding the bad link, not by
+ * discovery, so the report is identical whatever the schedule.
+ *
  * Concurrency contract: quiescent callers only (no mutator threads
  * between construction and the call's return).  Transient caches are
  * flushed and chunk cursors abandoned up front, so no thread-local
@@ -84,6 +95,12 @@ struct GcStats
     bool repair_refused = false;   ///< opaque reachable block blocked reclaim
     bool relocation_refused = false; ///< pin/opaque blocked relocation
 
+    // Wall time of the run's reachability phases (not part of the
+    // census: two audits of one heap agree on everything else).
+    uint64_t index_ns = 0;  ///< header walk + granule index
+    uint64_t mark_ns = 0;   ///< root-to-leaf trace
+    uint64_t census_ns = 0; ///< per-block classification
+
     /** Human-readable issue lines (capped; see kMaxFindings). */
     std::vector<std::string> findings;
 
@@ -100,6 +117,16 @@ class HeapGc
     /** A chunk is a relocation victim when its live payloads cover at
      *  most this fraction (in percent) of the chunk. */
     static constexpr uint64_t kVictimLivePct = 50;
+    /** Smallest mark level (blocks reached by the previous level), or
+     *  link table of one block, that is traced on
+     *  hardware_concurrency() threads.  Below it the work costs less
+     *  than spawning the threads, so heaps of a few ten thousand
+     *  blocks -- and every long linked list, whose levels are one block
+     *  wide -- are marked on the calling thread alone. */
+    static constexpr size_t kParallelFrontier = 32768;
+    /** Smallest count of carved chunks (16 KiB each) whose headers are
+     *  walked on hardware_concurrency() threads when indexing. */
+    static constexpr size_t kParallelChunks = 1024;
 
     HeapGc(NvHeap& heap, PersistDomain& dom);
 
@@ -121,6 +148,15 @@ class HeapGc
      *  the latest census, cumulative action totals added). */
     static void publish(const GcStats& s);
 
+    /** Raw payload offset of the block whose payload holds `off` in
+     *  the index the last run built, or 0 if `off` hits no block (a
+     *  header, unused arena, past bump).  The mark's link lookup. */
+    uint64_t block_containing(uint64_t off) const;
+
+    /** Raw payload offsets of every block the last run's mark reached,
+     *  ascending. */
+    std::vector<uint64_t> marked_blocks() const;
+
   private:
     /** Everything the mark phase learns about one block. */
     struct BlockInfo
@@ -128,10 +164,12 @@ class HeapGc
         uint64_t raw;  ///< raw payload offset (header at raw-16)
         uint64_t size; ///< class-rounded payload size
         uint64_t meta;
-        bool marked = false;
+        uint8_t marked = 0; ///< claimed through std::atomic_ref
         bool opaque = false; ///< LIVE with no usable descriptor
         bool pinned = false;
     };
+
+    struct MarkLane;
 
     /** One carved chunk and the index range of its blocks. */
     struct ChunkInfo
@@ -145,13 +183,31 @@ class HeapGc
     size_t find_block(uint64_t off) const; ///< npos if off hits no block
     void note(GcStats* s, std::string line) const;
 
+    /** Descriptor of a block's type from this run's snapshot, or
+     *  nullptr for untyped / undescribed (opaque) blocks. */
+    const TypeDescriptor*
+    descriptor(uint64_t meta) const
+    {
+        return types_[static_cast<size_t>(NvHeap::meta_type(meta))];
+    }
+
     /** Append every link-field heap offset of a described LIVE block. */
     void collect_link_fields(const BlockInfo& b,
                              std::vector<uint64_t>* out) const;
 
     void build_index();
+    void build_granules();
     void mark(GcStats* s);
+    /** Trace one marked block's link fields into lane; a block with
+     *  at least kParallelFrontier fields is split over `fan` instead
+     *  (nullptr: already inside a parallel level). */
+    void trace_block(size_t i, MarkLane* lane, std::vector<MarkLane>* fan);
+    /** Resolve one link field of traced block b; seq orders findings. */
+    void trace_link(const BlockInfo& b, const TypeDescriptor* d,
+                    uint64_t field, uint64_t seq, MarkLane* lane);
     void census(GcStats* s);
+    /** build_index + mark + census, each timed into s. */
+    void reach(GcStats* s);
 
     /** Complete an interrupted prior compaction: flip journaled
      *  sources to MOVED, rewrite links, truncate the journal. */
@@ -180,6 +236,19 @@ class HeapGc
 
     std::vector<BlockInfo> blocks_; ///< sorted by raw offset
     std::vector<ChunkInfo> chunks_;
+    TypeRegistry::Snapshot types_{}; ///< taken by build_index
+
+    // Granule index over blocks_: granule g covers heap offsets
+    // [granule_base_ + (g << granule_shift_), ... + (1 << shift)), and
+    // granule_first_[g] counts the blocks whose raw offset lies before
+    // it, so the blocks starting inside granule g are
+    // blocks_[granule_first_[g] .. granule_first_[g + 1]).  Granules
+    // are sized to hold about four blocks, so the table costs at most
+    // one byte per block.
+    std::vector<uint32_t> granule_first_;
+    uint64_t granule_base_ = 0;
+    uint64_t granule_limit_ = 0; ///< end of the last block's payload
+    unsigned granule_shift_ = 0;
 };
 
 } // namespace ido::nvm

@@ -4,10 +4,12 @@
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
 #include "stats/metrics.h"
+#include "stats/stat_plane.h"
 #include "trace/trace.h"
 
 namespace ido::nvm {
@@ -133,8 +135,12 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
         dom.store_val(&st->epoch, dom.load_val(&st->epoch) + 1);
         dom.flush(&st->epoch, sizeof(uint64_t));
         dom.fence();
-        if (heap_.recovered_from_crash())
-            recover_leaks(dom);
+        if (heap_.recovered_from_crash()) {
+            const uint64_t t0 = stat_now_ns();
+            attach_reclaim_.blocks = recover_leaks(dom);
+            attach_reclaim_.ns = stat_now_ns() - t0;
+            attach_reclaim_.ran = true;
+        }
         // Seed the per-class occupancy counters from the existing
         // image so the live/free gauges and the fragmentation ratio
         // are correct for inherited blocks, not just this run's churn.
@@ -926,6 +932,12 @@ NvHeap::recover_leaks(PersistDomain& dom)
     reclaim_stats_.blocks += reclaimed;
     reclaim_stats_.bytes += reclaimed_bytes;
     return reclaimed;
+}
+
+NvHeap::AttachReclaim
+NvHeap::take_attach_reclaim()
+{
+    return std::exchange(attach_reclaim_, AttachReclaim{});
 }
 
 void

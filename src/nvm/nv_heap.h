@@ -97,7 +97,8 @@ class NvHeap
     /**
      * Attach to (or initialize) the NvHeap state of a heap.  Attaching
      * to existing state durably bumps the epoch; if the heap reports
-     * recovered_from_crash(), leaked blocks are reclaimed immediately.
+     * recovered_from_crash(), leaked blocks are reclaimed immediately
+     * (see take_attach_reclaim()).
      */
     NvHeap(PersistentHeap& heap, PersistDomain& dom);
     ~NvHeap();
@@ -212,6 +213,21 @@ class NvHeap
         uint64_t bytes = 0;
     };
     ReclaimStats reclaim_stats() const { return reclaim_stats_; }
+
+    /** The reclaim the constructor ran on a crash attach. */
+    struct AttachReclaim
+    {
+        bool ran = false;    ///< false: clean attach, or already taken
+        uint64_t blocks = 0; ///< blocks recover_leaks() relinked
+        uint64_t ns = 0;     ///< its wall time
+    };
+
+    /**
+     * Hand the attach-time reclaim to its one consumer (the runtime's
+     * recovery timeline) and forget it: a later call reports ran ==
+     * false, so a second recovery on the same attach reclaims anew.
+     */
+    AttachReclaim take_attach_reclaim();
 
     /** Current attach epoch (diagnostics / tests). */
     uint64_t epoch() const;
@@ -423,6 +439,7 @@ class NvHeap
     std::atomic<uint64_t> oversize_freed_bytes_{0};
 
     ReclaimStats reclaim_stats_; ///< under refill_mutex_ (recover_leaks)
+    AttachReclaim attach_reclaim_;
 
     /** Estimated live payload+header bytes (from the class counters). */
     uint64_t live_bytes_estimate() const;

@@ -43,21 +43,14 @@ TypeRegistry::register_type(TypeId id, TypeDescriptor desc)
     known_[idx] = true;
 }
 
-const TypeDescriptor*
-TypeRegistry::describe(TypeId id) const
+TypeRegistry::Snapshot
+TypeRegistry::snapshot() const
 {
-    const auto idx = static_cast<size_t>(id);
-    if (idx >= table_.size())
-        return nullptr;
+    Snapshot out{};
     std::lock_guard<std::mutex> g(mu_);
-    return known_[idx] ? &table_[idx] : nullptr;
-}
-
-const char*
-TypeRegistry::name(TypeId id) const
-{
-    const TypeDescriptor* d = describe(id);
-    return d ? d->name.c_str() : "untyped";
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = known_[i] ? &table_[i] : nullptr;
+    return out;
 }
 
 // --------------------------------------------------------------------------

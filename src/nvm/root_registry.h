@@ -39,6 +39,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -139,12 +140,15 @@ class TypeRegistry
      *  module owning the layout. */
     void register_type(TypeId id, TypeDescriptor desc);
 
-    /** Descriptor for id, or nullptr if the type was never described
-     *  (callers must treat such blocks as opaque). */
-    const TypeDescriptor* describe(TypeId id) const;
-
-    /** Human name for diagnostics ("untyped" for unknown ids). */
-    const char* name(TypeId id) const;
+    /** Descriptor of every id, indexed by TypeId, nullptr where the
+     *  type was never described (callers must treat such blocks as
+     *  opaque).  Taken under one lock acquisition: hot walkers (the
+     *  heap GC visits every block) take it once per run instead of
+     *  locking per block.  The pointers stay valid for the process
+     *  lifetime. */
+    using Snapshot = std::array<const TypeDescriptor*,
+                                static_cast<size_t>(TypeId::kMaxTypes)>;
+    Snapshot snapshot() const;
 
   private:
     TypeRegistry();

@@ -29,13 +29,14 @@ RecoveryTimeline::start(const std::string& trigger)
 }
 
 void
-RecoveryTimeline::add_phase(const std::string& name, uint64_t dur_ns,
-                            uint64_t detail)
+RecoveryTimeline::add_phase(
+    const std::string& name, uint64_t dur_ns, uint64_t detail,
+    std::vector<std::pair<std::string, uint64_t>> fields)
 {
     std::lock_guard<std::mutex> g(mu_);
     if (!open_)
         return;
-    phases_.push_back(Phase{ name, dur_ns, detail });
+    phases_.push_back(Phase{ name, dur_ns, detail, std::move(fields) });
 }
 
 void
@@ -87,11 +88,24 @@ RecoveryTimeline::to_json() const
     for (const auto& p : phases_) {
         std::snprintf(buf, sizeof buf,
                       "%s{\"name\":\"%s\",\"dur_ns\":%llu,"
-                      "\"detail\":%llu}",
+                      "\"detail\":%llu",
                       first ? "" : ",", json_escape(p.name).c_str(),
                       static_cast<unsigned long long>(p.dur_ns),
                       static_cast<unsigned long long>(p.detail));
         out += buf;
+        if (!p.fields.empty()) {
+            out += ",\"fields\":{";
+            for (size_t i = 0; i < p.fields.size(); ++i) {
+                std::snprintf(buf, sizeof buf, "%s\"%s\":%llu",
+                              i ? "," : "",
+                              json_escape(p.fields[i].first).c_str(),
+                              static_cast<unsigned long long>(
+                                  p.fields[i].second));
+                out += buf;
+            }
+            out += '}';
+        }
+        out += '}';
         first = false;
     }
     out += "],\"fields\":{";
@@ -118,9 +132,12 @@ RecoveryTimeline::publish_metrics() const
             return;
         kv.emplace_back("recovery.count", 1);
         kv.emplace_back("recovery.wall_ns", wall_ns_);
-        for (const auto& p : phases_)
+        for (const auto& p : phases_) {
             kv.emplace_back("recovery.phase." + p.name + "_ns",
                             p.dur_ns);
+            for (const auto& [k, v] : p.fields)
+                kv.emplace_back("recovery.phase." + p.name + "." + k, v);
+        }
         for (const auto& [k, v] : fields_)
             kv.emplace_back("recovery." + k, v);
     }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ido {
@@ -35,9 +36,12 @@ class RecoveryTimeline
      *  `trigger` is "crash" or "clean". */
     void start(const std::string& trigger);
 
-    /** Append a completed phase: wall time + one detail count. */
+    /** Append a completed phase: wall time + one detail count, plus
+     *  optional named sub-measurements rendered as the phase's own
+     *  "fields" object (heap-gc's index/mark/census split). */
     void add_phase(const std::string& name, uint64_t dur_ns,
-                   uint64_t detail = 0);
+                   uint64_t detail = 0,
+                   std::vector<std::pair<std::string, uint64_t>> fields = {});
 
     /** Set/overwrite a headline numeric field (fases_resumed, ...). */
     void set_field(const std::string& key, uint64_t value);
@@ -66,6 +70,7 @@ class RecoveryTimeline
         std::string name;
         uint64_t dur_ns;
         uint64_t detail;
+        std::vector<std::pair<std::string, uint64_t>> fields;
     };
 
     mutable std::mutex mu_;

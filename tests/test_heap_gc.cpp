@@ -7,13 +7,17 @@
  * the crash acceptance gate -- a deterministic crash-at-every-fuse-point
  * sweep over compact() under all three ShadowDomain policies, with the
  * move journal resolved by the next GC and the corpus byte-compared
- * afterwards.
+ * afterwards.  The granule lookup and the (parallel) level-synchronous
+ * mark are checked against a brute-force oracle: the block list from
+ * NvHeap::for_each_block, searched linearly.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "nvm/heap_gc.h"
@@ -372,6 +376,356 @@ TEST(HeapGcCrashSweep, CompactionSurvivesEveryFusePoint)
         EXPECT_GT(total_resolved, 0u)
             << "policy " << static_cast<int>(policy);
     }
+}
+
+// --------------------------------------------------------------------------
+// Granule lookup and parallel mark vs. a brute-force oracle
+// --------------------------------------------------------------------------
+
+/**
+ * Fan block: a count followed by that many link fields, so one block
+ * can hold a wide link table (the shape of a hash-bucket array).
+ */
+void
+register_fan_type()
+{
+    TypeDescriptor d;
+    d.name = "gc.test_fan";
+    d.enumerate_link_fields = [](const PersistentHeap& heap, uint64_t pub,
+                                 std::vector<uint64_t>* out) {
+        const uint64_t n = *heap.resolve<uint64_t>(pub);
+        for (uint64_t i = 0; i < n; ++i)
+            out->push_back(pub + 8 + 8 * i);
+    };
+    TypeRegistry::instance().register_type(TypeId::kTestBlock, d);
+}
+
+/** Allocate a fan block with room for `links` link fields, all null. */
+uint64_t
+alloc_fan(NvHeap& h, PersistentHeap& heap, PersistDomain& dom,
+          uint64_t links, uint64_t extra_bytes = 0)
+{
+    const size_t bytes = 8 + 8 * links + extra_bytes;
+    const uint64_t off = h.alloc(bytes, dom, TypeId::kTestBlock);
+    EXPECT_NE(off, 0u);
+    std::vector<uint64_t> init(bytes / 8 + 1, 0);
+    init[0] = links;
+    dom.store(heap.resolve<void>(off), init.data(), bytes);
+    dom.flush(heap.resolve<void>(off), bytes);
+    dom.fence();
+    return off;
+}
+
+void
+set_link(PersistentHeap& heap, PersistDomain& dom, uint64_t fan,
+         uint64_t i, uint64_t target)
+{
+    uint64_t* f = heap.resolve<uint64_t>(fan + 8 + 8 * i);
+    dom.store_val(f, target);
+    dom.flush(f, sizeof(uint64_t));
+    dom.fence();
+}
+
+/** Plant a relocation carcass: a MOVED header, as compaction leaves. */
+void
+mark_moved(PersistentHeap& heap, PersistDomain& dom, uint64_t raw)
+{
+    uint64_t* meta = heap.resolve<uint64_t>(raw - 8);
+    dom.store_val(meta, (*meta & ~uint64_t{0xffff}) | NvHeap::kBlockMoved);
+    dom.flush(meta, sizeof(uint64_t));
+    dom.fence();
+}
+
+/**
+ * Brute-force reference for the GC's lookup and mark: every block the
+ * allocator's own header walk reports, searched linearly per query.
+ */
+struct Oracle
+{
+    struct Blk
+    {
+        uint64_t raw, size, meta;
+    };
+
+    explicit Oracle(NvHeap& h) : alloc(h), heap(h.heap())
+    {
+        h.for_each_block([&](uint64_t raw, uint64_t size, uint64_t meta) {
+            blocks.push_back(Blk{raw, size, meta});
+        });
+    }
+
+    /** Index of the block whose payload holds off, or -1. */
+    long
+    owner(uint64_t off) const
+    {
+        for (size_t i = 0; i < blocks.size(); ++i)
+            if (off >= blocks[i].raw && off < blocks[i].raw + blocks[i].size)
+                return static_cast<long>(i);
+        return -1;
+    }
+
+    /** owner() of every query, by one linear sweep (queries sorted
+     *  here) -- the same answers, fast enough for big corpora. */
+    std::map<uint64_t, long>
+    owners(std::vector<uint64_t> offs) const
+    {
+        std::sort(offs.begin(), offs.end());
+        std::map<uint64_t, long> out;
+        size_t i = 0;
+        for (const uint64_t off : offs) {
+            while (i < blocks.size() && blocks[i].raw + blocks[i].size <= off)
+                ++i;
+            out[off] = i < blocks.size() && blocks[i].raw <= off
+                           ? static_cast<long>(i)
+                           : -1;
+        }
+        return out;
+    }
+
+    static bool
+    live(const Blk& b)
+    {
+        return (b.meta & 0xffff) == NvHeap::kBlockLive;
+    }
+
+    /** Link values of a typed (fan) LIVE block; none for others. */
+    std::vector<uint64_t>
+    links(const Blk& b) const
+    {
+        std::vector<uint64_t> out;
+        if (!live(b) || alloc.block_type(b.raw) != TypeId::kTestBlock)
+            return out;
+        const uint64_t n = *heap.resolve<uint64_t>(b.raw);
+        for (uint64_t i = 0; i < n; ++i) {
+            const uint64_t v = *heap.resolve<uint64_t>(b.raw + 8 + 8 * i);
+            if (v != 0)
+                out.push_back(v);
+        }
+        return out;
+    }
+
+    /** Reach from the block roots: marked raw offsets (ascending) and
+     *  the number of links resolving to no LIVE block. */
+    void
+    mark(std::vector<uint64_t>* marked, uint64_t* dangling) const
+    {
+        std::vector<uint64_t> queries;
+        for (const auto& [slot, off] : RootRegistry::block_roots(heap))
+            queries.push_back(off);
+        for (const Blk& b : blocks)
+            for (const uint64_t v : links(b))
+                queries.push_back(v);
+        const std::map<uint64_t, long> own = owners(queries);
+        std::vector<bool> seen(blocks.size(), false);
+        std::vector<size_t> work;
+        *dangling = 0;
+        const auto reach = [&](uint64_t v) {
+            const long i = own.at(v);
+            if (i < 0 || !live(blocks[i])) {
+                ++*dangling;
+                return;
+            }
+            if (!seen[i]) {
+                seen[i] = true;
+                work.push_back(static_cast<size_t>(i));
+            }
+        };
+        for (const auto& [slot, off] : RootRegistry::block_roots(heap))
+            reach(off);
+        while (!work.empty()) {
+            const size_t i = work.back();
+            work.pop_back();
+            for (const uint64_t v : links(blocks[i]))
+                reach(v);
+        }
+        marked->clear();
+        for (size_t i = 0; i < blocks.size(); ++i)
+            if (seen[i])
+                marked->push_back(blocks[i].raw);
+    }
+
+    NvHeap& alloc;
+    PersistentHeap& heap;
+    std::vector<Blk> blocks;
+};
+
+/** Every count and finding of a run; the phase timings vary. */
+std::string
+census_json(GcStats s)
+{
+    s.index_ns = s.mark_ns = s.census_ns = 0;
+    return s.to_json();
+}
+
+/**
+ * A mixed corpus: every size class, oversize blocks spanning many
+ * granules, FREEING / FREE / MOVED blocks, plus a hub block linking to
+ * the interesting offsets of each: first, interior and last payload
+ * byte, both header words, and the bytes just past the end.
+ */
+struct LookupCorpus : public ::testing::Test
+{
+    LookupCorpus() : heap({.size = 16u << 20}), dom(), h(heap, dom)
+    {
+        register_fan_type();
+        for (int round = 0; round < 3; ++round) {
+            for (const uint64_t links : {0, 1, 5, 11, 23, 47, 63, 127, 250,
+                                         500, 1000})
+                blocks.push_back(alloc_fan(h, heap, dom, links));
+            // Oversize: carved straight from the arena, many granules.
+            blocks.push_back(alloc_fan(h, heap, dom, 0, 40u << 10));
+            blocks.push_back(alloc_fan(h, heap, dom, 0, (1u << 20) + 24));
+        }
+        // Non-LIVE targets: parked (FREEING), flushed (FREE), MOVED.
+        h.free_block(blocks[1], dom);
+        h.free_block(blocks[14], dom);
+        h.flush_transient_caches(dom);
+        h.free_block(blocks[2], dom);
+        mark_moved(heap, dom, blocks[3]);
+
+        Oracle o(h);
+        std::vector<uint64_t> targets;
+        for (const Oracle::Blk& b : o.blocks) {
+            for (const uint64_t t :
+                 {b.raw, b.raw + 1, b.raw + b.size / 2, b.raw + b.size - 1,
+                  b.raw - 16, b.raw - 8, b.raw - 1, b.raw + b.size,
+                  b.raw + b.size + 8})
+                targets.push_back(t);
+        }
+        const uint64_t end = o.blocks.back().raw + o.blocks.back().size;
+        for (const uint64_t t : {end, end + 64, end + 4096, heap.size() - 8})
+            targets.push_back(t);
+        hub = alloc_fan(h, heap, dom, targets.size());
+        for (size_t i = 0; i < targets.size(); ++i)
+            set_link(heap, dom, hub, i, targets[i]);
+        RootRegistry::set_ref(heap, RootSlot::kUser0, hub, dom);
+    }
+
+    PersistentHeap heap;
+    RealDomain dom;
+    NvHeap h;
+    std::vector<uint64_t> blocks;
+    uint64_t hub = 0;
+};
+
+TEST_F(LookupCorpus, GranuleLookupMatchesLinearScan)
+{
+    HeapGc gc(h, dom);
+    gc.audit(); // builds the index
+    const Oracle o(h);
+    ASSERT_GT(o.blocks.size(), 30u);
+    // Every block boundary, byte by byte: header bytes, first and last
+    // payload bytes, the gap to the next header.
+    for (const Oracle::Blk& b : o.blocks) {
+        for (uint64_t off = b.raw - 20; off < b.raw + 4; ++off)
+            ASSERT_EQ(gc.block_containing(off),
+                      o.owner(off) < 0 ? 0 : o.blocks[o.owner(off)].raw)
+                << "offset " << off;
+        for (uint64_t off = b.raw + b.size - 4; off < b.raw + b.size + 20;
+             ++off)
+            ASSERT_EQ(gc.block_containing(off),
+                      o.owner(off) < 0 ? 0 : o.blocks[o.owner(off)].raw)
+                << "offset " << off;
+    }
+    // And every word of the used arena and past it, so each granule
+    // boundary -- wherever the index put them -- is crossed.
+    std::vector<uint64_t> offs;
+    const uint64_t end = o.blocks.back().raw + o.blocks.back().size;
+    for (uint64_t off = o.blocks.front().raw - 256; off < end + 8192;
+         off += 8)
+        offs.push_back(off);
+    const std::map<uint64_t, long> own = o.owners(offs);
+    for (const auto& [off, i] : own)
+        ASSERT_EQ(gc.block_containing(off), i < 0 ? 0 : o.blocks[i].raw)
+            << "offset " << off;
+    EXPECT_EQ(gc.block_containing(0), 0u);
+    EXPECT_EQ(gc.block_containing(heap.size() - 8), 0u);
+}
+
+TEST_F(LookupCorpus, MarkMatchesOracleOnEveryTargetKind)
+{
+    HeapGc gc(h, dom);
+    const GcStats s = gc.audit();
+    std::vector<uint64_t> expect_marked;
+    uint64_t expect_dangling = 0;
+    Oracle(h).mark(&expect_marked, &expect_dangling);
+    // The hub links into header bytes, past bump and at each non-LIVE
+    // block, so the corpus must produce dangling links of every kind.
+    ASSERT_GT(expect_dangling, 100u);
+    EXPECT_EQ(s.dangling_links, expect_dangling) << s.to_json();
+    EXPECT_EQ(gc.marked_blocks(), expect_marked);
+    EXPECT_EQ(s.leaked_blocks, s.live_blocks - expect_marked.size());
+    EXPECT_EQ(s.findings.size(), HeapGc::kMaxFindings + 1);
+    EXPECT_EQ(s.findings.back(), "... (further findings elided)");
+}
+
+/**
+ * Big corpus: a hub with a wide link table over 64 Ki leaves, each
+ * leaf linking two pseudo-random targets (other leaves' interiors,
+ * header bytes, freed leaves, unused arena).  The hub's table and the
+ * leaf level both exceed kParallelFrontier, so both parallel paths run.
+ */
+TEST(HeapGcParallelMark, WideCorpusMatchesOracleAndIsDeterministic)
+{
+    register_fan_type();
+    PersistentHeap heap({.size = 32u << 20});
+    RealDomain dom;
+    NvHeap h(heap, dom);
+    constexpr uint64_t kLeaves = 64 * 1024;
+    static_assert(kLeaves >= 2 * HeapGc::kParallelFrontier);
+    std::vector<uint64_t> leaves(kLeaves);
+    for (uint64_t i = 0; i < kLeaves; ++i)
+        leaves[i] = alloc_fan(h, heap, dom, 2);
+    const uint64_t hub = alloc_fan(h, heap, dom, kLeaves);
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    const auto rnd = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (uint64_t i = 0; i < kLeaves; ++i) {
+        // Three in four leaves hang off the hub (a level above
+        // kParallelFrontier); the rest are reachable only through other
+        // leaves (deeper levels) or not at all.
+        if (i % 4 != 3)
+            set_link(heap, dom, hub, i, leaves[i]);
+        for (uint64_t k = 0; k < 2; ++k) {
+            const uint64_t t = leaves[rnd() % kLeaves];
+            // Mostly plain links; then a header word, an interior link
+            // field, unused arena, and null.
+            const uint64_t kind = rnd() % 8;
+            const uint64_t v = kind == 0   ? t - 8
+                               : kind == 1 ? t + 8 + 8 * (rnd() % 2)
+                               : kind == 2 ? heap.size() - 64
+                               : kind == 3 ? 0
+                                           : t;
+            set_link(heap, dom, leaves[i], k, v);
+        }
+    }
+    RootRegistry::set_ref(heap, RootSlot::kUser0, hub, dom);
+    // Freed leaves turn every link at them into a non-LIVE target.
+    for (uint64_t i = 5; i < kLeaves; i += 97)
+        h.free_block(leaves[i], dom);
+    h.flush_transient_caches(dom);
+
+    HeapGc gc(h, dom);
+    const GcStats first = gc.audit();
+    std::vector<uint64_t> expect_marked;
+    uint64_t expect_dangling = 0;
+    Oracle(h).mark(&expect_marked, &expect_dangling);
+    ASSERT_GT(expect_marked.size(), kLeaves / 2);
+    ASSERT_GT(expect_dangling, 0u);
+    EXPECT_EQ(first.dangling_links, expect_dangling);
+    EXPECT_EQ(gc.marked_blocks(), expect_marked);
+    EXPECT_EQ(first.leaked_blocks,
+              first.live_blocks - expect_marked.size());
+
+    // Findings are ordered by the block holding the bad link, so the
+    // whole report is the same on every schedule.
+    const std::string want = census_json(first);
+    for (int run = 0; run < 10; ++run)
+        ASSERT_EQ(census_json(HeapGc(h, dom).audit()), want) << "run " << run;
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "ds/workload.h"
 #include "ido/ido_runtime.h"
 #include "nvm/shadow_domain.h"
+#include "stats/recovery_timeline.h"
 
 namespace ido {
 namespace {
@@ -277,6 +278,43 @@ TEST(IdoRecovery, CleanRunNeedsNoRecoveryWork)
     const auto snap = ds::PStack::snapshot(world.heap, stack.root_off());
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0], 9u);
+}
+
+TEST(IdoRecovery, TimelineReportsTheAttachTimeLeakReclaim)
+{
+    // A free parked in a thread cache is FREEING under the running
+    // epoch.  The process dies before phase 2, so the next attach sees
+    // a stale-epoch FREEING block and the NvHeap constructor reclaims
+    // it.  recover() must report that reclaim -- not a second
+    // whole-heap pass that, running after it, always finds nothing.
+    nvm::PersistentHeap heap({.size = 16u << 20});
+    nvm::RealDomain dom;
+    {
+        IdoRuntime rt(heap, dom, rt::RuntimeConfig{});
+        heap.mark_running(dom);
+        const uint64_t off = rt.allocator().alloc(64, dom);
+        ASSERT_NE(off, 0u);
+        rt.allocator().free_block(off, dom);
+        // Dies here: no cache flush, no clean mark.
+    }
+    heap.simulate_fresh_open();
+    ASSERT_TRUE(heap.recovered_from_crash());
+    IdoRuntime rt(heap, dom, rt::RuntimeConfig{});
+    rt.recover();
+    const std::string j = RecoveryTimeline::instance().to_json();
+    EXPECT_NE(j.find("\"leaks_reclaimed\":1"), std::string::npos) << j;
+    const size_t phase = j.find("\"name\":\"leak-reclaim\"");
+    ASSERT_NE(phase, std::string::npos) << j;
+    EXPECT_NE(j.find("\"detail\":1", phase), std::string::npos) << j;
+    // The heap-gc phase carries the audit's index/mark/census split.
+    EXPECT_NE(j.find("\"mark_ns\""), std::string::npos) << j;
+
+    // The record is handed over once: a second recovery on the same
+    // attach reclaims afresh and finds the heap already clean.
+    rt.recover();
+    EXPECT_NE(RecoveryTimeline::instance().to_json().find(
+                  "\"leaks_reclaimed\":0"),
+              std::string::npos);
 }
 
 } // namespace

@@ -21,7 +21,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -136,6 +139,61 @@ TEST(InProcessServer_, MalformedInputAnsweredInOrder)
     uint64_t v = 0;
     EXPECT_FALSE(c.get("nosuchcommandkey", &v));
     EXPECT_TRUE(c.set("m2", 2));
+}
+
+TEST(InProcessServer_, ServerSurvivesQuitMidPipeline)
+{
+    // Regression: close_conn used to erase the Conn while read_conn's
+    // parse loop still held a reference to it, so a quit inside a
+    // pipelined burst was a use-after-free -- the ASAN build catches a
+    // reintroduction.  Mirrors Cluster.RouterSurvivesQuitMidPipeline.
+    InProcessServer s(/*shards=*/1, /*batch_limit=*/4);
+    const auto dial = [&s]() -> int {
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        EXPECT_GE(fd, 0);
+        sockaddr_in a = {};
+        a.sin_family = AF_INET;
+        a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        a.sin_port = htons(s.server->port());
+        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&a), sizeof a),
+                  0);
+        return fd;
+    };
+    const auto read_until_eof = [](int fd) -> std::string {
+        std::string got;
+        char buf[512];
+        for (;;) {
+            const ssize_t n = ::read(fd, buf, sizeof buf);
+            if (n <= 0)
+                break;
+            got.append(buf, static_cast<size_t>(n));
+        }
+        return got;
+    };
+
+    // One burst: a loop-answered request, quit, then trailing requests
+    // the server must drop instead of serving a closed client.
+    const int fd = dial();
+    const char burst[] = "version\r\nquit\r\nversion\r\nget k\r\n";
+    ASSERT_EQ(::write(fd, burst, sizeof burst - 1),
+              static_cast<ssize_t>(sizeof burst - 1));
+    const std::string got = read_until_eof(fd); // EOF = conn closed
+    EXPECT_EQ(got.rfind("VERSION", 0), 0u) << got;
+    EXPECT_EQ(got.find("VERSION", 1), std::string::npos)
+        << "request after quit was served: " << got;
+    ::close(fd);
+
+    // The server must still be healthy after the mid-burst close.
+    MemcClient c;
+    ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
+    EXPECT_TRUE(c.set("after-quit", 3));
+    uint64_t v = 0;
+    ASSERT_TRUE(c.get("after-quit", &v));
+    EXPECT_EQ(v, 3u);
+    const int fd2 = dial();
+    ASSERT_EQ(::write(fd2, "quit\r\n", 6), 6);
+    EXPECT_EQ(read_until_eof(fd2), "");
+    ::close(fd2);
 }
 
 // `stats` round-trip: after acked traffic the reply must carry the
