@@ -375,8 +375,8 @@ run_heap_series()
  * hung off one wide bucket table.  Unlike the list corpus above --
  * whose audit is mostly the header walk -- this one resolves ~1 Mi
  * links, and its bucket table and item level are wide enough for the
- * parallel mark.  One BENCH_heap.json row, gc_audit_memc, ops =
- * blocks walked.
+ * parallel mark.  Two BENCH_heap.json rows, ops = blocks walked:
+ * gc_audit_memc, and attach_crash -- a crash attach of the same heap.
  */
 void
 run_heap_memc_series()
@@ -411,8 +411,10 @@ run_heap_memc_series()
     const uint64_t table = alloc_fan(kBuckets);
     auto* buckets = heap.resolve<uint64_t>(table + 8);
     uint64_t prev = 0;
+    std::vector<uint64_t> items;
     for (uint64_t i = 0; i < kItems; ++i) {
         const uint64_t it = alloc_fan(3);
+        items.push_back(it);
         auto* links = heap.resolve<uint64_t>(it + 8);
         const uint64_t b = (i * 0x9e3779b97f4a7c15ull) % kBuckets;
         links[0] = buckets[b]; // chain next
@@ -442,6 +444,32 @@ run_heap_memc_series()
                 static_cast<unsigned long long>(s.leaked_blocks),
                 s.index_ns / 1e6, s.mark_ns / 1e6, s.census_ns / 1e6);
     bench::emit_json_row("heap", "gc_audit_memc", 1, s.blocks, seconds);
+
+    // The same heap attached as a crash recovery attaches it: one pass
+    // that chases the free lists, walks every header, relinks the
+    // strays and keeps the block index.  A quarter of the items are
+    // freed first, so there are lists to chase and cached frees the
+    // "crash" strands.  One row, attach_crash, ops = blocks walked.
+    for (size_t i = 0; i < items.size(); i += 4)
+        h.free_block(items[i], dom);
+    heap.mark_running(dom);
+    heap.simulate_fresh_open(); // as if the process died here
+    const auto t1 = std::chrono::steady_clock::now();
+    nvm::NvHeap attached(heap, dom);
+    const double attach_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
+            .count();
+    const nvm::NvHeap::AttachReclaim at = attached.take_attach_reclaim();
+    std::printf("%-12s %10llu %14.0f strays %llu  listed %llu  chase/walk/"
+                "relink %.1f/%.1f/%.1f ms\n",
+                "attach_crash",
+                static_cast<unsigned long long>(at.walked_blocks),
+                attach_s > 0 ? double(at.walked_blocks) / attach_s : 0.0,
+                static_cast<unsigned long long>(at.blocks),
+                static_cast<unsigned long long>(at.listed_blocks),
+                at.chase_ns / 1e6, at.walk_ns / 1e6, at.relink_ns / 1e6);
+    bench::emit_json_row("heap", "attach_crash", 1, at.walked_blocks,
+                         attach_s);
 }
 
 // --------------------------------------------------------------------------

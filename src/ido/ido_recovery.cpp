@@ -14,6 +14,7 @@
 #include <atomic>
 #include <barrier>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -40,9 +41,11 @@ IdoRuntime::recover()
     // opts in.  It runs after the log-driven phases so resumed FASEs
     // have retired their log records -- an interrupted record pins the
     // heap and would otherwise show up as a pinned finding.
-    const auto run_heap_gc = [&] {
+    const auto run_heap_gc = [&](std::optional<nvm::HeapIndex> index) {
         const uint64_t t = stat_now_ns();
         nvm::HeapGc gc(alloc_, dom_);
+        if (index)
+            gc.adopt_index(std::move(*index));
         const nvm::GcStats gs =
             cfg_.gc_repair_on_recovery ? gc.repair() : gc.audit();
         nvm::HeapGc::publish(gs);
@@ -77,15 +80,20 @@ IdoRuntime::recover()
     bump_lock_epoch();
     // Relink any block the crashed epoch stranded mid-free (NvHeap's
     // online leak reclamation).  A crash attach already ran it in the
-    // NvHeap constructor; a second whole-heap walk would find nothing,
-    // so report that reclaim instead of repeating it.
-    const nvm::NvHeap::AttachReclaim at_attach = alloc_.take_attach_reclaim();
+    // NvHeap constructor's one header pass; a second whole-heap walk
+    // would find nothing, so report that pass instead of repeating it.
+    nvm::NvHeap::AttachReclaim at_attach = alloc_.take_attach_reclaim();
     uint64_t reclaimed = at_attach.blocks;
     uint64_t reclaim_ns = at_attach.ns;
     if (!at_attach.ran)
         reclaimed = alloc_.recover_leaks(dom_);
     reclaim_ns += stat_now_ns() - t0;
-    tl.add_phase("leak-reclaim", reclaim_ns, reclaimed);
+    tl.add_phase("leak-reclaim", reclaim_ns, reclaimed,
+                 {{"chase_ns", at_attach.chase_ns},
+                  {"walk_ns", at_attach.walk_ns},
+                  {"relink_ns", at_attach.relink_ns},
+                  {"listed_blocks", at_attach.listed_blocks},
+                  {"walked_blocks", at_attach.walked_blocks}});
     tl.set_field("leaks_reclaimed", reclaimed);
 
     t0 = stat_now_ns();
@@ -98,10 +106,13 @@ IdoRuntime::recover()
     tl.add_phase("scan-log-records", stat_now_ns() - t0, active.size());
     tl.set_field("fases_resumed", active.size());
     if (active.empty()) {
-        run_heap_gc();
+        // Nothing has touched the heap since attach, so the attach
+        // pass's block index is still exact: the audit skips its walk.
+        run_heap_gc(std::move(at_attach.index));
         seal_timeline();
         return;
     }
+    at_attach.index.reset(); // resumed FASEs allocate and free
     trace::emit(trace::EventKind::kRecoveryBegin, 0, active.size());
     t0 = stat_now_ns();
 
@@ -148,7 +159,7 @@ IdoRuntime::recover()
         t.join();
     trace::emit(trace::EventKind::kRecoveryEnd, 0, active.size());
     tl.add_phase("resume-fases", stat_now_ns() - t0, active.size());
-    run_heap_gc();
+    run_heap_gc(std::nullopt);
     seal_timeline();
 
     // Post-condition: every record is inactive and no locks are held

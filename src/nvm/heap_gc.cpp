@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <thread>
 
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
@@ -16,13 +15,6 @@ namespace ido::nvm {
 namespace {
 
 constexpr size_t kNpos = static_cast<size_t>(-1);
-
-bool
-recognized_state(uint64_t st)
-{
-    return st == NvHeap::kBlockLive || st == NvHeap::kBlockFreeing
-           || st == NvHeap::kBlockFree || st == NvHeap::kBlockMoved;
-}
 
 void
 json_escape(const std::string& in, std::string* out)
@@ -93,42 +85,6 @@ struct MarkFinding
         return link;
     }
 };
-
-/**
- * fn(worker, k) for every k < n on `workers` threads -- worker 0 is
- * the calling thread -- each claiming `batch` consecutive indexes at a
- * time, so uneven items balance out.
- */
-template <typename Fn>
-void
-parallel_for(size_t n, size_t workers, size_t batch, Fn&& fn)
-{
-    std::atomic<size_t> cursor{0};
-    const auto run = [&](size_t worker) {
-        for (;;) {
-            const size_t begin =
-                cursor.fetch_add(batch, std::memory_order_relaxed);
-            if (begin >= n)
-                return;
-            const size_t end = std::min(begin + batch, n);
-            for (size_t k = begin; k < end; ++k)
-                fn(worker, k);
-        }
-    };
-    std::vector<std::thread> helpers;
-    helpers.reserve(workers - 1);
-    for (size_t w = 1; w < workers; ++w)
-        helpers.emplace_back(run, w);
-    run(0);
-    for (std::thread& t : helpers)
-        t.join();
-}
-
-size_t
-worker_count()
-{
-    return std::max(1u, std::thread::hardware_concurrency());
-}
 
 } // namespace
 
@@ -278,93 +234,28 @@ HeapGc::collect_link_fields(const BlockInfo& b,
 }
 
 void
+HeapGc::adopt_index(HeapIndex index)
+{
+    adopted_ = std::move(index);
+}
+
+void
 HeapGc::build_index()
 {
     types_ = TypeRegistry::instance().snapshot();
-    blocks_.clear();
-    chunks_.clear();
-    PersistentHeap& ph = heap_.heap_;
-    const NvHeap::HeapState* st = heap_.state();
-    const uint64_t bump = st->bump;
-    constexpr uint64_t kHdr = sizeof(NvHeap::BlockHeader);
-
-    // Arena level: chunks and the oversize blocks carved between them,
-    // in address order.  A segment of size 0 is the chunk at off.
-    struct Segment
-    {
-        uint64_t off, size, meta;
-    };
-    std::vector<Segment> segs;
-    size_t nchunks = 0;
-    uint64_t off = heap_.data_begin_;
-    while (off + kHdr <= bump) {
-        const auto* words = ph.resolve<uint64_t>(off);
-        if (words[0] == NvHeap::kChunkMagic) {
-            IDO_ASSERT(words[1] == NvHeap::kChunkBytes
-                           && off + words[1] <= bump,
-                       "heap_gc: malformed chunk header");
-            segs.push_back(Segment{off, 0, 0});
-            ++nchunks;
-            off += words[1];
-        } else {
-            if (!recognized_state(words[1] & 0xffff))
-                break; // torn arena tail (crashed carve)
-            IDO_ASSERT(words[0] != 0 && off + kHdr + words[0] <= ph.size(),
-                       "heap_gc: oversize block overruns the arena");
-            segs.push_back(Segment{off + kHdr, words[0], words[1]});
-            off += kHdr + words[0];
-        }
+    HeapIndex idx;
+    if (adopted_) {
+        idx = std::move(*adopted_);
+        adopted_.reset();
+    } else {
+        const ArenaWalk walk = heap_.arena_walk();
+        IDO_ASSERT(walk.end() != ArenaWalk::End::kMalformed,
+                   "heap_gc: malformed chunk header or oversize block");
+        const bool ok = walk.index(&idx);
+        IDO_ASSERT(ok, "heap_gc: block overruns its chunk");
     }
-
-    // Chunk level: fn(raw, size, meta) for each block packed in a chunk.
-    const auto walk_chunk = [&ph](uint64_t chunk, auto&& fn) {
-        const uint64_t chunk_end = chunk + NvHeap::kChunkBytes;
-        uint64_t b = chunk + kHdr;
-        while (b + kHdr <= chunk_end) {
-            const auto* bw = ph.resolve<uint64_t>(b);
-            if (!recognized_state(bw[1] & 0xffff))
-                break; // unused (or retired-and-zeroed) tail
-            IDO_ASSERT(bw[0] != 0 && b + kHdr + bw[0] <= chunk_end,
-                       "heap_gc: block overruns its chunk");
-            fn(b + kHdr, bw[0], bw[1]);
-            b += kHdr + bw[0];
-        }
-    };
-
-    // The header walk is one dependent cache miss per block, so a big
-    // heap's chunks are walked on every core -- once to count, so
-    // blocks_ is sized exactly (no second copy of the index), once to
-    // fill each chunk's slice.
-    const size_t workers = nchunks < kParallelChunks ? 1 : worker_count();
-    std::vector<size_t> first(segs.size() + 1, 0);
-    parallel_for(segs.size(), workers, 8, [&](size_t, size_t k) {
-        size_t n = 1;
-        if (segs[k].size == 0) {
-            n = 0;
-            walk_chunk(segs[k].off,
-                       [&n](uint64_t, uint64_t, uint64_t) { ++n; });
-        }
-        first[k + 1] = n;
-    });
-    for (size_t k = 0; k < segs.size(); ++k)
-        first[k + 1] += first[k];
-    blocks_.resize(first.back());
-    parallel_for(segs.size(), workers, 8, [&](size_t, size_t k) {
-        const Segment& sg = segs[k];
-        if (sg.size != 0) {
-            blocks_[first[k]] = BlockInfo{sg.off, sg.size, sg.meta};
-            return;
-        }
-        size_t i = first[k];
-        walk_chunk(sg.off, [&](uint64_t raw, uint64_t size, uint64_t meta) {
-            IDO_ASSERT(i < first[k + 1], "heap_gc: chunk changed mid-index");
-            blocks_[i++] = BlockInfo{raw, size, meta};
-        });
-    });
-    chunks_.reserve(nchunks);
-    for (size_t k = 0; k < segs.size(); ++k)
-        if (segs[k].size == 0)
-            chunks_.push_back(ChunkInfo{segs[k].off, first[k], first[k + 1]});
+    blocks_ = std::move(idx.blocks);
+    chunks_ = std::move(idx.chunks);
     build_granules();
 }
 
@@ -729,7 +620,8 @@ HeapGc::rewrite_references()
         if (NvHeap::meta_state(meta) != NvHeap::kBlockLive)
             return;
         fields.clear();
-        collect_link_fields(BlockInfo{raw, size, meta}, &fields);
+        collect_link_fields(BlockInfo{raw, size, meta, 0, false, false},
+                            &fields);
         for (const uint64_t f : fields) {
             if (f + sizeof(uint64_t) > ph.size())
                 continue;
@@ -909,7 +801,7 @@ HeapGc::retire_chunk(uint64_t chunk_off)
     uint64_t b = chunk_off + kHdr;
     while (b + kHdr <= end) {
         auto* bw = ph.resolve<uint64_t>(b);
-        if (!recognized_state(bw[1] & 0xffff))
+        if (!arena::recognized(bw[1]))
             break;
         const uint64_t sz = bw[0];
         dom_.store_val(&bw[1], uint64_t{0});

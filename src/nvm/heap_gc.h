@@ -40,7 +40,8 @@
  *               exists, since their interiors may hold offsets the GC
  *               cannot retarget.
  *
- * Cost model (DESIGN.md section 13): one header walk builds a block
+ * Cost model (DESIGN.md section 13): one header walk (ArenaWalk, or
+ * the one a crash attach already ran; see adopt_index) builds a block
  * index sorted by offset plus a coarse granule table over it, so
  * resolving a link (interior pointers included) is one table read and
  * a search among the few blocks that start in the granule -- the mark
@@ -59,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -124,11 +126,15 @@ class HeapGc
      *  blocks -- and every long linked list, whose levels are one block
      *  wide -- are marked on the calling thread alone. */
     static constexpr size_t kParallelFrontier = 32768;
-    /** Smallest count of carved chunks (16 KiB each) whose headers are
-     *  walked on hardware_concurrency() threads when indexing. */
-    static constexpr size_t kParallelChunks = 1024;
-
     HeapGc(NvHeap& heap, PersistDomain& dom);
+
+    /**
+     * Let the next run's index be `index` instead of a header walk.  It
+     * must describe the heap exactly as it stands -- the index a crash
+     * attach leaves in NvHeap::AttachReclaim does, until anything
+     * allocates, frees or reclaims.
+     */
+    void adopt_index(HeapIndex index);
 
     /** Read-only reachability census; never writes the heap. */
     GcStats audit();
@@ -159,25 +165,10 @@ class HeapGc
 
   private:
     /** Everything the mark phase learns about one block. */
-    struct BlockInfo
-    {
-        uint64_t raw;  ///< raw payload offset (header at raw-16)
-        uint64_t size; ///< class-rounded payload size
-        uint64_t meta;
-        uint8_t marked = 0; ///< claimed through std::atomic_ref
-        bool opaque = false; ///< LIVE with no usable descriptor
-        bool pinned = false;
-    };
+    using BlockInfo = IndexedBlock;
+    using ChunkInfo = IndexedChunk;
 
     struct MarkLane;
-
-    /** One carved chunk and the index range of its blocks. */
-    struct ChunkInfo
-    {
-        uint64_t off;       ///< chunk header offset
-        size_t first_block; ///< index into blocks_ (first_block==last_block
-        size_t last_block;  ///<  means the chunk holds no blocks)
-    };
 
     uint64_t published_off(const BlockInfo& b) const;
     size_t find_block(uint64_t off) const; ///< npos if off hits no block
@@ -234,7 +225,8 @@ class HeapGc
     PersistDomain& dom_;
     uint64_t journal_off_ = 0; ///< cached HeapState.compact_journal
 
-    std::vector<BlockInfo> blocks_; ///< sorted by raw offset
+    std::optional<HeapIndex> adopted_; ///< see adopt_index()
+    IndexedBlocks blocks_; ///< sorted by raw offset
     std::vector<ChunkInfo> chunks_;
     TypeRegistry::Snapshot types_{}; ///< taken by build_index
 

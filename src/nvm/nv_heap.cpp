@@ -1,9 +1,9 @@
 #include "nvm/nv_heap.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/panic.h"
@@ -38,13 +38,6 @@ state_name(uint64_t st)
     return "INVALID";
 }
 
-bool
-recognized_state(uint64_t st)
-{
-    return st == NvHeap::kBlockLive || st == NvHeap::kBlockFreeing
-           || st == NvHeap::kBlockFree || st == NvHeap::kBlockMoved;
-}
-
 } // namespace
 
 namespace {
@@ -74,11 +67,6 @@ const ClassTable g_class_table;
 
 } // namespace
 
-template <typename Fn>
-static void walk_blocks(PersistentHeap& heap, uint64_t data_begin,
-                        uint64_t bump, uint64_t heap_size, bool* consistent,
-                        Fn&& fn);
-
 size_t
 NvHeap::class_for_size(size_t size)
 {
@@ -94,8 +82,11 @@ NvHeap::class_payload(size_t cls)
     return kClassSizes[cls];
 }
 
-NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
-    : heap_(heap), id_(g_next_heap_id.fetch_add(1, std::memory_order_relaxed))
+NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom,
+               std::function<void()> crash_hook)
+    : heap_(heap),
+      id_(g_next_heap_id.fetch_add(1, std::memory_order_relaxed)),
+      crash_hook_(std::move(crash_hook))
 {
     auto& reg = MetricsRegistry::instance();
     m_alloc_ = reg.counter("nvheap.alloc");
@@ -135,35 +126,18 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
         dom.store_val(&st->epoch, dom.load_val(&st->epoch) + 1);
         dom.flush(&st->epoch, sizeof(uint64_t));
         dom.fence();
-        if (heap_.recovered_from_crash()) {
-            const uint64_t t0 = stat_now_ns();
-            attach_reclaim_.blocks = recover_leaks(dom);
-            attach_reclaim_.ns = stat_now_ns() - t0;
-            attach_reclaim_.ran = true;
-        }
-        // Seed the per-class occupancy counters from the existing
-        // image so the live/free gauges and the fragmentation ratio
-        // are correct for inherited blocks, not just this run's churn.
-        walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                    [&](uint64_t, uint64_t size, uint64_t meta) {
-                        const uint64_t s = meta_state(meta);
-                        const size_t cls = class_for_size(size);
-                        const bool exact = cls < kNumClasses
-                            && kClassSizes[cls] == size;
-                        if (exact) {
-                            cls_alloc_[cls].fetch_add(
-                                1, std::memory_order_relaxed);
-                            if (s != kBlockLive)
-                                cls_free_[cls].fetch_add(
-                                    1, std::memory_order_relaxed);
-                        } else if (s == kBlockLive) {
-                            oversize_blocks_.fetch_add(
-                                1, std::memory_order_relaxed);
-                            oversize_bytes_.fetch_add(
-                                size + sizeof(BlockHeader),
-                                std::memory_order_relaxed);
-                        }
-                    });
+        // One pass relinks what dead epochs stranded and seeds the
+        // per-class occupancy counters from the image, so the live/free
+        // gauges and the fragmentation ratio count inherited blocks,
+        // not just this run's churn.  Caches are never spilled before a
+        // clean shutdown, so a clean attach has stale FREEING strays
+        // too -- but no FREE block off every list, so no list chase.
+        const bool crashed = heap_.recovered_from_crash();
+        AttachReclaim r = reclaim_pass(dom, /*chase=*/crashed,
+                                       /*seed=*/true,
+                                       /*keep_index=*/crashed);
+        if (crashed)
+            attach_reclaim_ = std::move(r);
     }
 
     // ido-stat occupancy gauges.  The bump/end reads take the refill
@@ -278,6 +252,19 @@ NvHeap::epoch() const
     return state()->epoch;
 }
 
+std::vector<uint64_t>
+NvHeap::free_list(size_t shard, size_t cls) const
+{
+    IDO_ASSERT(shard < kNumShards && cls < kNumClasses);
+    std::vector<uint64_t> out;
+    for (uint64_t p = state()->shards[shard].heads[cls]; p != 0;
+         p = *heap_.resolve<uint64_t>(p)) {
+        out.push_back(p);
+        IDO_ASSERT(out.size() <= heap_.size() / 16, "nvheap: free-list cycle");
+    }
+    return out;
+}
+
 void
 NvHeap::set_crash_hook(std::function<void()> hook_fn)
 {
@@ -312,6 +299,9 @@ NvHeap::tcache()
                                  fuzz::obj_key(fuzz::ObjKind::kHeapTc));
         tc->owner_tag = next_owner_tag_++;
         tcs_.push_back(std::move(tc));
+        // This thread is about to allocate or free: the attach index
+        // stops describing the heap.
+        attach_reclaim_.index.reset();
     }
     tls_map.emplace(id_, raw);
     tls_last_id = id_;
@@ -720,85 +710,20 @@ NvHeap::arena_remaining() const
 // Walks: consistency checking, live census, leak reclamation
 // --------------------------------------------------------------------------
 
-namespace {
-
-/** One extent of the global arena: a chunk or an oversize block. */
-struct Extent
+ArenaWalk
+NvHeap::arena_walk() const
 {
-    uint64_t begin;  ///< first block header (payload walk start)
-    uint64_t end;    ///< one past the extent's block area
-    bool is_chunk;
-};
-
-} // namespace
-
-/**
- * Invoke fn(payload_off, hdr) for every block in the arena.  Blocks
- * inside a chunk form a packed prefix; the walk stops at the first
- * header slot never durably written (meta state unrecognizable),
- * which by the carve protocol is always the unused tail.
- */
-template <typename Fn>
-static void
-walk_blocks(PersistentHeap& heap, uint64_t data_begin, uint64_t bump,
-            uint64_t heap_size, bool* consistent, Fn&& fn)
-{
-    constexpr uint64_t kHdr = 16;
-    uint64_t off = data_begin;
-    while (off + kHdr <= bump) {
-        const auto* words = heap.resolve<uint64_t>(off);
-        if (words[0] == NvHeap::kChunkMagic) {
-            const uint64_t chunk_end = off + words[1];
-            if (words[1] != NvHeap::kChunkBytes || chunk_end > bump) {
-                if (consistent)
-                    *consistent = false;
-                return;
-            }
-            uint64_t b = off + kHdr;
-            while (b + kHdr <= chunk_end) {
-                const auto* bw = heap.resolve<uint64_t>(b);
-                const uint64_t st = bw[1] & 0xffff;
-                if (!recognized_state(st))
-                    break; // unused chunk tail
-                if (bw[0] == 0 || b + kHdr + bw[0] > chunk_end) {
-                    if (consistent)
-                        *consistent = false;
-                    return;
-                }
-                fn(b + kHdr, bw[0], bw[1]);
-                b += kHdr + bw[0];
-            }
-            off = chunk_end;
-        } else {
-            // Oversize (or arena-tail) block carved straight from the
-            // global arena.
-            const uint64_t st = words[1] & 0xffff;
-            if (!recognized_state(st)) {
-                if (consistent)
-                    *consistent = false;
-                return;
-            }
-            if (words[0] == 0 || off + kHdr + words[0] > heap_size) {
-                if (consistent)
-                    *consistent = false;
-                return;
-            }
-            fn(off + kHdr, words[0], words[1]);
-            off += kHdr + words[0];
-        }
-    }
+    return ArenaWalk(heap_, data_begin_, state()->bump);
 }
 
 uint64_t
 NvHeap::live_blocks() const
 {
-    const HeapState* st = state();
     uint64_t live = 0;
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                [&](uint64_t, uint64_t, uint64_t meta) {
-                    if (meta_state(meta) == kBlockLive)
-                        ++live;
-                });
+    arena_walk().for_each([&](uint64_t, uint64_t, uint64_t meta) {
+        if (meta_state(meta) == kBlockLive)
+            ++live;
+    });
     return live;
 }
 
@@ -808,10 +733,9 @@ NvHeap::check_consistency() const
     const HeapState* st = state();
     if (st->magic != kStateMagic)
         return false;
-    bool ok = true;
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), &ok,
-                [](uint64_t, uint64_t, uint64_t) {});
-    if (!ok)
+    const ArenaWalk walk = arena_walk();
+    if (walk.end() != ArenaWalk::End::kBump
+        || !walk.for_each([](uint64_t, uint64_t, uint64_t) {}))
         return false;
     // Every free-list entry must be in state FREE with a matching
     // class size, and the lists must be acyclic.
@@ -853,6 +777,21 @@ NvHeap::check_consistency() const
 uint64_t
 NvHeap::recover_leaks(PersistDomain& dom)
 {
+    {
+        // The relink rewrites headers the attach index recorded.
+        std::lock_guard<std::mutex> g(tc_mutex_);
+        attach_reclaim_.index.reset();
+    }
+    return reclaim_pass(dom, /*chase=*/true, /*seed=*/false,
+                        /*keep_index=*/false)
+        .blocks;
+}
+
+NvHeap::AttachReclaim
+NvHeap::reclaim_pass(PersistDomain& dom, bool chase, bool seed,
+                     bool keep_index)
+{
+    const uint64_t t_begin = stat_now_ns();
     // Serialize against every mutator path; reclamation is a recovery
     // operation but must be safe even if called mid-run.
     std::lock_guard<std::mutex> rg(refill_mutex_);
@@ -862,81 +801,180 @@ NvHeap::recover_leaks(PersistDomain& dom)
 
     HeapState* st = state();
     const uint64_t cur_epoch = dom.load_val(&st->epoch);
+    const ArenaWalk walk = arena_walk();
+    const size_t workers = walk.workers();
+    AttachReclaim r;
+    r.ran = true;
 
-    // Pass 1: index every block reachable from a free list.
-    std::unordered_set<uint64_t> listed;
-    for (size_t s = 0; s < kNumShards; ++s) {
-        for (size_t c = 0; c < kNumClasses; ++c) {
-            uint64_t p = st->shards[s].heads[c];
-            size_t hops = 0;
-            while (p != 0) {
-                listed.insert(p);
-                p = *heap_.resolve<uint64_t>(p);
-                IDO_ASSERT(++hops <= heap_.size() / 16,
-                           "nvheap: free-list cycle during reclaim");
+    // Strays: FREEING with a stale epoch means the freeing run died (or
+    // shut down) between the phases; FREE but unlisted means it died
+    // between a spill batch and its head publish (or between a shard
+    // pop's unlink and the LIVE flip).  Current-epoch FREEING blocks are
+    // parked in live transient caches -- leave them alone.  MOVED blocks
+    // are compaction carcasses, reclaimed only by chunk retirement, and
+    // oversize blocks are bump-only: neither is ever relinked.
+    struct alignas(64) Lane
+    {
+        std::vector<uint64_t> strays;
+        std::vector<uint64_t> free; ///< FREE: a stray unless listed
+        uint64_t cls_alloc[kNumClasses] = {};
+        uint64_t cls_free[kNumClasses] = {};
+        uint64_t oversize_blocks = 0;
+        uint64_t oversize_bytes = 0;
+    };
+    std::vector<Lane> lanes(workers);
+    const uint64_t stale = epoch_tag(cur_epoch);
+    uint64_t t = stat_now_ns();
+    bool well_formed = true;
+    const std::vector<size_t> first = walk.visit(
+        [&](size_t w, uint64_t payload, uint64_t size, uint64_t meta) {
+            Lane& ln = lanes[w];
+            const uint64_t s = meta_state(meta);
+            const size_t cls = class_for_size(size);
+            if (cls >= kNumClasses || kClassSizes[cls] != size) {
+                if (s == kBlockLive) {
+                    ++ln.oversize_blocks;
+                    ln.oversize_bytes += size + sizeof(BlockHeader);
+                }
+                return;
             }
+            ++ln.cls_alloc[cls];
+            if (s == kBlockLive)
+                return;
+            ++ln.cls_free[cls];
+            if (s == kBlockFreeing && meta_epoch(meta) < stale)
+                ln.strays.push_back(payload);
+            else if (s == kBlockFree && chase)
+                ln.free.push_back(payload);
+        },
+        &well_formed);
+    r.walked_blocks = first.back();
+    r.walk_ns = stat_now_ns() - t;
+
+    // Free-list membership, one bit per 16-byte granule (payloads are
+    // 16-aligned), set by chasing the kNumShards x kNumClasses lists --
+    // side by side on a big heap.  After the walk, so the hops land on
+    // pages the walk already mapped.
+    t = stat_now_ns();
+    if (chase) {
+        std::vector<uint64_t> listed((heap_.size() / 16 + 63) / 64, 0);
+        const auto bit = [&listed](uint64_t p) {
+            return std::atomic_ref<uint64_t>(listed[p >> 10]);
+        };
+        const auto mask = [](uint64_t p) {
+            return uint64_t{1} << ((p >> 4) & 63);
+        };
+        uint64_t hops[kNumShards * kNumClasses] = {};
+        parallel_for(kNumShards * kNumClasses, workers, 1,
+                     [&](size_t, size_t l) {
+            uint64_t p = st->shards[l / kNumClasses].heads[l % kNumClasses];
+            while (p != 0) {
+                IDO_ASSERT(p + sizeof(uint64_t) <= heap_.size(),
+                           "nvheap: free-list entry outside the heap");
+                IDO_ASSERT(++hops[l] <= heap_.size() / 16,
+                           "nvheap: free-list cycle during reclaim");
+                bit(p).fetch_or(mask(p), std::memory_order_relaxed);
+                p = *heap_.resolve<uint64_t>(p);
+            }
+        });
+        for (const uint64_t h : hops)
+            r.listed_blocks += h;
+        for (Lane& ln : lanes) {
+            for (const uint64_t p : ln.free)
+                if ((bit(p).load(std::memory_order_relaxed) & mask(p)) == 0)
+                    ln.strays.push_back(p);
+            std::vector<uint64_t>().swap(ln.free);
+        }
+    } // the bitmap is gone before any index exists
+    r.chase_ns = stat_now_ns() - t;
+
+    // Relink in address order, the j-th stray onto shard j % kNumShards
+    // of its class, each touched list as one batch.
+    t = stat_now_ns();
+    std::vector<uint64_t> strays;
+    for (Lane& ln : lanes)
+        strays.insert(strays.end(), ln.strays.begin(), ln.strays.end());
+    std::sort(strays.begin(), strays.end());
+    std::vector<uint64_t> batches[kNumShards][kNumClasses];
+    uint64_t bytes = 0;
+    for (size_t j = 0; j < strays.size(); ++j) {
+        const uint64_t size =
+            heap_.resolve<BlockHeader>(strays[j] - sizeof(BlockHeader))->size;
+        batches[j % kNumShards][class_for_size(size)].push_back(strays[j]);
+        bytes += size + sizeof(BlockHeader);
+    }
+    for (size_t s = 0; s < kNumShards; ++s)
+        for (size_t c = 0; c < kNumClasses; ++c)
+            if (!batches[s][c].empty())
+                relink_batch(s, c, batches[s][c], cur_epoch, dom);
+    r.blocks = strays.size();
+    if (r.blocks != 0)
+        m_leak_reclaim_->fetch_add(r.blocks, std::memory_order_relaxed);
+    reclaim_stats_.blocks += r.blocks;
+    reclaim_stats_.bytes += bytes;
+    r.relink_ns = stat_now_ns() - t;
+
+    if (seed) {
+        for (const Lane& ln : lanes) {
+            for (size_t c = 0; c < kNumClasses; ++c) {
+                cls_alloc_[c].fetch_add(ln.cls_alloc[c],
+                                        std::memory_order_relaxed);
+                cls_free_[c].fetch_add(ln.cls_free[c],
+                                       std::memory_order_relaxed);
+            }
+            oversize_blocks_.fetch_add(ln.oversize_blocks,
+                                       std::memory_order_relaxed);
+            oversize_bytes_.fetch_add(ln.oversize_bytes,
+                                      std::memory_order_relaxed);
         }
     }
-
-    // Pass 2: find strays.  FREEING with a stale epoch means the
-    // freeing run died between the phases; FREE but unlisted means it
-    // died between a spill batch and its head publish (or between a
-    // shard pop's unlink and the LIVE flip).  Current-epoch FREEING
-    // blocks are parked in live transient caches -- leave them alone.
-    std::vector<uint64_t> strays;
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                [&](uint64_t payload, uint64_t size, uint64_t meta) {
-                    const uint64_t s = meta_state(meta);
-                    const size_t cls = class_for_size(size);
-                    const bool exact = cls < kNumClasses
-                        && kClassSizes[cls] == size;
-                    if (!exact)
-                        return; // oversize: never relinked (bump-only)
-                    // MOVED blocks are compaction carcasses, reclaimed
-                    // only by chunk retirement -- never relinked.
-                    if (s == kBlockMoved)
-                        return;
-                    if (s == kBlockFreeing
-                        && meta_epoch(meta) < epoch_tag(cur_epoch))
-                        strays.push_back(payload);
-                    else if (s == kBlockFree && !listed.count(payload))
-                        strays.push_back(payload);
-                });
-
-    // Pass 3: relink, one durable two-step per block (link+meta fence,
-    // then head publish fence) -- crashing mid-reclaim just leaves the
-    // block a stray for the next reclaim.
-    uint64_t reclaimed = 0;
-    uint64_t reclaimed_bytes = 0;
-    for (const uint64_t payload : strays) {
-        const auto* hdr =
-            heap_.resolve<BlockHeader>(payload - sizeof(BlockHeader));
-        const size_t cls = class_for_size(hdr->size);
-        const size_t shard = reclaimed % kNumShards;
-        reclaimed_bytes += hdr->size + sizeof(BlockHeader);
-        uint64_t* head = &st->shards[shard].heads[cls];
-        trace::emit(trace::EventKind::kLeakReclaim, payload,
-                    meta_state(hdr->meta));
-        uint64_t* link = heap_.resolve<uint64_t>(payload);
-        dom.store_val(link, dom.load_val(head));
-        dom.flush(link, sizeof(uint64_t));
-        set_meta(payload, pack_meta(kBlockFree, 0, cur_epoch), dom);
-        hook();
-        dom.store_val(head, payload);
-        dom.flush(head, sizeof(uint64_t));
-        dom.fence();
-        ++reclaimed;
+    // A malformed arena gets no index: HeapGc walks it itself and
+    // reports it.
+    if (keep_index && well_formed
+        && walk.end() != ArenaWalk::End::kMalformed) {
+        t = stat_now_ns();
+        r.index = walk.fill(first);
+        r.walk_ns += stat_now_ns() - t;
     }
-    if (reclaimed != 0)
-        m_leak_reclaim_->fetch_add(reclaimed, std::memory_order_relaxed);
-    reclaim_stats_.blocks += reclaimed;
-    reclaim_stats_.bytes += reclaimed_bytes;
-    return reclaimed;
+    r.ns = stat_now_ns() - t_begin;
+    return r;
+}
+
+void
+NvHeap::relink_batch(size_t shard, size_t cls,
+                     const std::vector<uint64_t>& batch, uint64_t epoch,
+                     PersistDomain& dom)
+{
+    // The same two-fence shape as a spill: chain the blocks (lowest
+    // offset deepest) and mark them FREE under one fence, then publish
+    // the head.  A crash anywhere before the publish leaves them strays
+    // for the next reclaim.
+    uint64_t* head = &state()->shards[shard].heads[cls];
+    uint64_t next = dom.load_val(head);
+    for (const uint64_t payload : batch) {
+        trace::emit(trace::EventKind::kLeakReclaim, payload,
+                    meta_state(heap_.resolve<BlockHeader>(
+                                   payload - sizeof(BlockHeader))
+                                   ->meta));
+        uint64_t* link = heap_.resolve<uint64_t>(payload);
+        dom.store_val(link, next);
+        dom.flush(link, sizeof(uint64_t));
+        set_meta(payload, pack_meta(kBlockFree, 0, epoch), dom,
+                 /*fence=*/false);
+        next = payload;
+    }
+    hook();
+    dom.fence();
+    hook();
+    dom.store_val(head, next);
+    dom.flush(head, sizeof(uint64_t));
+    dom.fence();
 }
 
 NvHeap::AttachReclaim
 NvHeap::take_attach_reclaim()
 {
+    std::lock_guard<std::mutex> g(tc_mutex_);
     return std::exchange(attach_reclaim_, AttachReclaim{});
 }
 
@@ -944,11 +982,7 @@ void
 NvHeap::for_each_block(
     const std::function<void(uint64_t, uint64_t, uint64_t)>& fn) const
 {
-    const HeapState* st = state();
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                [&](uint64_t payload, uint64_t size, uint64_t meta) {
-                    fn(payload, size, meta);
-                });
+    arena_walk().for_each(fn);
 }
 
 TypeId

@@ -58,11 +58,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/panic.h"
 #include "fuzz/rr.h"
 
+#include "nvm/heap_walk.h"
 #include "nvm/persist_domain.h"
 #include "nvm/persistent_heap.h"
 #include "nvm/root_registry.h"
@@ -78,29 +80,29 @@ class NvHeap
     static constexpr size_t kNumClasses = 13;
     static constexpr size_t kNumShards = 8;
     /** Per-thread bump chunk carved from the global arena. */
-    static constexpr uint64_t kChunkBytes = 16384;
+    static constexpr uint64_t kChunkBytes = arena::kChunkBytes;
     /** Transient per-class cache capacity; half spills when full. */
     static constexpr size_t kCacheCap = 64;
 
-    // Block states (low 16 bits of the header meta word).  The low
-    // nibble must never be 0x1: that nibble distinguishes a plain
-    // header from an aligned block's tagged back-pointer.
-    static constexpr uint64_t kBlockLive = 0xa1ce;
-    static constexpr uint64_t kBlockFreeing = 0xf4e2; ///< phase 1
-    static constexpr uint64_t kBlockFree = 0xf4ee;    ///< phase 2
-    /** Relocated by compaction: the journal maps it to its copy. */
-    static constexpr uint64_t kBlockMoved = 0x30ed;
-
-    /** First word of a chunk; cannot collide with a block size. */
-    static constexpr uint64_t kChunkMagic = 0xc7a2c7a2c7a2c7a2ull;
+    // Block states and the chunk magic (see heap_walk.h).
+    static constexpr uint64_t kBlockLive = arena::kBlockLive;
+    static constexpr uint64_t kBlockFreeing = arena::kBlockFreeing;
+    static constexpr uint64_t kBlockFree = arena::kBlockFree;
+    static constexpr uint64_t kBlockMoved = arena::kBlockMoved;
+    static constexpr uint64_t kChunkMagic = arena::kChunkMagic;
 
     /**
      * Attach to (or initialize) the NvHeap state of a heap.  Attaching
-     * to existing state durably bumps the epoch; if the heap reports
-     * recovered_from_crash(), leaked blocks are reclaimed immediately
-     * (see take_attach_reclaim()).
+     * to existing state durably bumps the epoch, then walks every block
+     * header once: blocks a dead epoch stranded mid-free are relinked
+     * and the occupancy counters are seeded.  A crash attach
+     * (recovered_from_crash()) also chases the free lists, so FREE
+     * blocks no list reaches are relinked too, and keeps the walk's
+     * block index for the recovery's GC (see take_attach_reclaim()).
+     * `crash_hook` is installed before that pass (see set_crash_hook).
      */
-    NvHeap(PersistentHeap& heap, PersistDomain& dom);
+    NvHeap(PersistentHeap& heap, PersistDomain& dom,
+           std::function<void()> crash_hook = {});
     ~NvHeap();
 
     NvHeap(const NvHeap&) = delete;
@@ -198,11 +200,12 @@ class NvHeap
 
     /**
      * Online leak reclamation: relink every block stranded mid-free by
-     * a crashed epoch (state kBlockFreeing with a stale epoch tag, or
+     * a dead epoch (state kBlockFreeing with a stale epoch tag, or
      * kBlockFree but unreachable from any free list) into the sharded
-     * free lists.  Safe to call while the current epoch is allocating:
-     * blocks parked in live transient caches carry the current epoch
-     * and are left alone.  Returns the number of blocks reclaimed.
+     * free lists, in address order.  Safe to call while the current
+     * epoch is allocating: blocks parked in live transient caches carry
+     * the current epoch and are left alone.  Returns the number of
+     * blocks reclaimed.
      */
     uint64_t recover_leaks(PersistDomain& dom);
 
@@ -214,23 +217,37 @@ class NvHeap
     };
     ReclaimStats reclaim_stats() const { return reclaim_stats_; }
 
-    /** The reclaim the constructor ran on a crash attach. */
+    /** The pass the constructor ran on a crash attach. */
     struct AttachReclaim
     {
         bool ran = false;    ///< false: clean attach, or already taken
-        uint64_t blocks = 0; ///< blocks recover_leaks() relinked
-        uint64_t ns = 0;     ///< its wall time
+        uint64_t blocks = 0; ///< strays relinked
+        uint64_t ns = 0;     ///< wall time of the whole pass
+        uint64_t chase_ns = 0;      ///< free lists -> membership bitmap
+        uint64_t walk_ns = 0;       ///< header walk (and index fill)
+        uint64_t relink_ns = 0;     ///< strays -> free lists
+        uint64_t listed_blocks = 0; ///< free-list entries chased
+        uint64_t walked_blocks = 0; ///< block headers walked
+        /** Every block as the pass left it, for HeapGc::adopt_index.
+         *  Dropped (nullopt) once any thread allocates or frees through
+         *  this NvHeap, or recover_leaks() runs: it then no longer
+         *  describes the heap. */
+        std::optional<HeapIndex> index;
     };
 
     /**
-     * Hand the attach-time reclaim to its one consumer (the runtime's
-     * recovery timeline) and forget it: a later call reports ran ==
-     * false, so a second recovery on the same attach reclaims anew.
+     * Hand the attach-time pass to its one consumer (the runtime's
+     * recovery) and forget it: a later call reports ran == false, so a
+     * second recovery on the same attach reclaims anew.
      */
     AttachReclaim take_attach_reclaim();
 
     /** Current attach epoch (diagnostics / tests). */
     uint64_t epoch() const;
+
+    /** Entries of one persistent free list, head first (diagnostics /
+     *  tests; quiescent callers only). */
+    std::vector<uint64_t> free_list(size_t shard, size_t cls) const;
 
     /**
      * Invoke fn(raw_payload_off, size, meta) for every block in the
@@ -273,6 +290,7 @@ class NvHeap
         uint64_t size; ///< payload size (rounded to its class)
         uint64_t meta; ///< pack(state, owner, epoch)
     };
+    static_assert(sizeof(BlockHeader) == arena::kHeaderBytes);
 
     /** One shard of per-class free-list heads (two cache lines). */
     struct ShardList
@@ -402,6 +420,29 @@ class NvHeap
     void validate_for_free(uint64_t payload_off, const BlockHeader* hdr,
                            uint64_t meta) const;
 
+    /** The arena's segments as the state's bump pointer bounds them. */
+    ArenaWalk arena_walk() const;
+
+    /**
+     * The one pass behind attach and recover_leaks().  One walk over
+     * every header collects the stale-epoch FREEING strays and, with
+     * `seed`, the per-class occupancy counts.  With `chase`, every free
+     * list is then chased into a membership bitmap, and the FREE blocks
+     * the walk saw that no list reaches are strays too.  The strays are
+     * relinked in address order, one batch per touched list; and, with
+     * `keep_index` on a well-formed arena, a second walk fills the
+     * result's index with the blocks as the relink left them.  Takes
+     * every allocator lock.
+     */
+    AttachReclaim reclaim_pass(PersistDomain& dom, bool chase, bool seed,
+                               bool keep_index);
+
+    /** Durably push `batch` (ascending offsets) onto one free list:
+     *  links and metas under one fence, the head under a second. */
+    void relink_batch(size_t shard, size_t cls,
+                      const std::vector<uint64_t>& batch, uint64_t epoch,
+                      PersistDomain& dom);
+
     PersistentHeap& heap_;
     uint64_t state_off_ = 0;
     uint64_t data_begin_ = 0; ///< first byte after HeapState
@@ -411,7 +452,7 @@ class NvHeap
     std::mutex shard_mutexes_[kNumShards];
     std::mutex link_mutexes_[static_cast<size_t>(RootSlot::kCount)];
 
-    std::mutex tc_mutex_; ///< guards tcs_ registration only
+    std::mutex tc_mutex_; ///< guards tcs_ registration (and attach_reclaim_)
     std::deque<std::unique_ptr<ThreadCache>> tcs_;
     uint16_t next_owner_tag_ = 1; ///< under tc_mutex_
 
@@ -439,7 +480,7 @@ class NvHeap
     std::atomic<uint64_t> oversize_freed_bytes_{0};
 
     ReclaimStats reclaim_stats_; ///< under refill_mutex_ (recover_leaks)
-    AttachReclaim attach_reclaim_;
+    AttachReclaim attach_reclaim_; ///< under tc_mutex_
 
     /** Estimated live payload+header bytes (from the class counters). */
     uint64_t live_bytes_estimate() const;

@@ -728,5 +728,81 @@ TEST(HeapGcParallelMark, WideCorpusMatchesOracleAndIsDeterministic)
         ASSERT_EQ(census_json(HeapGc(h, dom).audit()), want) << "run " << run;
 }
 
+// --------------------------------------------------------------------------
+// The crash attach's index handed to the audit
+// --------------------------------------------------------------------------
+
+/**
+ * A crash attach indexes every block as its pass leaves the heap, and
+ * recovery hands that index to the audit instead of walking the
+ * headers again.  The audit on it must be the audit that walks.  The
+ * corpus: fans of every size class (and some oversize) linking to
+ * earlier fans, a third of them freed -- some spilled to the lists,
+ * the rest parked in the cache the crash kills, so the attach relinks
+ * strays and links at freed fans turn into dangling findings.
+ * Returns the chunk count the audit saw.
+ */
+size_t
+check_adopted_index(size_t heap_mib, uint64_t used)
+{
+    register_fan_type();
+    PersistentHeap heap({.size = heap_mib << 20});
+    RealDomain dom;
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    const auto rnd = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    {
+        NvHeap h(heap, dom);
+        heap.mark_running(dom);
+        std::vector<uint64_t> fans;
+        while (heap.size() - h.arena_remaining() < used) {
+            const uint64_t links = rnd() % 500;
+            const uint64_t f = alloc_fan(h, heap, dom, links,
+                                         rnd() % 64 == 0 ? 6000 : 0);
+            for (uint64_t k = 0; k < links && !fans.empty(); k += 50)
+                set_link(heap, dom, f, k, fans[rnd() % fans.size()]);
+            fans.push_back(f);
+        }
+        RootRegistry::set_ref(heap, RootSlot::kUser0, fans.back(), dom);
+        for (size_t i = 0; i + 1 < fans.size(); i += 3)
+            h.free_block(fans[i], dom);
+        // Dies here: no cache spill, no clean mark.
+    }
+    heap.simulate_fresh_open();
+    EXPECT_TRUE(heap.recovered_from_crash());
+    NvHeap rec(heap, dom);
+    NvHeap::AttachReclaim at = rec.take_attach_reclaim();
+    EXPECT_GT(at.blocks, 0u);
+    if (!at.index.has_value()) {
+        ADD_FAILURE() << "a crash attach kept no index";
+        return 0;
+    }
+    HeapGc handed(rec, dom);
+    handed.adopt_index(std::move(*at.index));
+    const GcStats got = handed.audit();
+    HeapGc walked(rec, dom);
+    const GcStats want = walked.audit();
+    EXPECT_GT(want.live_blocks, 500u);
+    EXPECT_GT(want.dangling_links, 0u);
+    EXPECT_EQ(census_json(got), census_json(want));
+    EXPECT_EQ(handed.marked_blocks(), walked.marked_blocks());
+    return want.chunks;
+}
+
+TEST(HeapGcAdoptedIndex, AuditMatchesAWalkingAuditSerial)
+{
+    EXPECT_LT(check_adopted_index(4, 3u << 20), kParallelChunks);
+}
+
+TEST(HeapGcAdoptedIndex, AuditMatchesAWalkingAuditParallel)
+{
+    const uint64_t used = (kParallelChunks + 200) * NvHeap::kChunkBytes;
+    EXPECT_GT(check_adopted_index(32, used), kParallelChunks);
+}
+
 } // namespace
 } // namespace ido::nvm

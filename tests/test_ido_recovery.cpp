@@ -306,6 +306,8 @@ TEST(IdoRecovery, TimelineReportsTheAttachTimeLeakReclaim)
     const size_t phase = j.find("\"name\":\"leak-reclaim\"");
     ASSERT_NE(phase, std::string::npos) << j;
     EXPECT_NE(j.find("\"detail\":1", phase), std::string::npos) << j;
+    // ... with the attach pass's split.
+    EXPECT_NE(j.find("\"walked_blocks\":", phase), std::string::npos) << j;
     // The heap-gc phase carries the audit's index/mark/census split.
     EXPECT_NE(j.find("\"mark_ns\""), std::string::npos) << j;
 

@@ -3,7 +3,8 @@
  * NvHeap v2 tests: facade semantics (per-thread caches, sharded free
  * lists, alloc_linked), free_block forensics, a deterministic
  * crash-at-every-fuse-point sweep over alloc/free under all three
- * ShadowDomain crash policies, and a multi-thread alloc/free stress
+ * ShadowDomain crash policies, the attach pass (serial and parallel
+ * walk) against a slow oracle, and a multi-thread alloc/free stress
  * run.  The sweep is the acceptance gate for the two-phase free
  * protocol: after any crash the heap must check consistent, nothing
  * may be handed out twice, and leak reclamation must converge.
@@ -11,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "nvm/nv_heap.h"
 #include "nvm/persist_domain.h"
 #include "nvm/shadow_domain.h"
+#include "stats/metrics.h"
 
 namespace ido::nvm {
 namespace {
@@ -402,24 +407,25 @@ TEST(NvHeapCrashSweep, DoubleDirtyAttachConverges)
                     h1.free_block(off, dom);
             }
             // Run 2: re-attach (the epoch bump makes the strays
-            // reclaimable) and crash partway through the reclamation.
+            // reclaimable, and the attach pass relinks them) and crash
+            // partway through that reclamation or the explicit one
+            // after it.  The hook goes in through the constructor so
+            // the attach pass's fuse points are swept too.
             bool crashed = false;
             {
                 ShadowDomain shadow(heap.base(), heap.size(),
                                     static_cast<uint64_t>(fuse) * 53
                                         + 3);
-                NvHeap h2(heap, shadow);
                 int steps = 0;
-                h2.set_crash_hook([&] {
-                    if (++steps == fuse)
-                        throw HookCrash{};
-                });
                 try {
+                    NvHeap h2(heap, shadow, [&] {
+                        if (++steps == fuse)
+                            throw HookCrash{};
+                    });
                     h2.recover_leaks(shadow);
                 } catch (const HookCrash&) {
                     crashed = true;
                 }
-                h2.set_crash_hook(nullptr);
                 if (crashed)
                     shadow.crash(policy);
             }
@@ -444,11 +450,253 @@ TEST(NvHeapCrashSweep, DoubleDirtyAttachConverges)
             if (::testing::Test::HasFailure())
                 return;
         }
-        // One hook fires per relinked stray, so the interrupted pass
-        // must have swept every block before completing.
+        // Two hooks fire per relinked list, so the interrupted pass
+        // must have swept every list before completing.
         EXPECT_GT(completed_at, 2)
             << "reclamation exposed no fuse points";
     }
+}
+
+// --------------------------------------------------------------------------
+// The attach pass against an oracle
+// --------------------------------------------------------------------------
+
+constexpr uint64_t kClassSizes[NvHeap::kNumClasses] = {
+    16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024, 2048, 4096,
+};
+
+/** Size class of a block, or kNumClasses for an oversize block. */
+size_t
+class_of(uint64_t size)
+{
+    for (size_t c = 0; c < NvHeap::kNumClasses; ++c)
+        if (kClassSizes[c] == size)
+            return c;
+    return NvHeap::kNumClasses;
+}
+
+using FreeLists =
+    std::vector<std::vector<uint64_t>>; ///< [shard * kNumClasses + cls]
+
+FreeLists
+free_lists(const NvHeap& h)
+{
+    FreeLists out;
+    for (size_t s = 0; s < NvHeap::kNumShards; ++s)
+        for (size_t c = 0; c < NvHeap::kNumClasses; ++c)
+            out.push_back(h.free_list(s, c));
+    return out;
+}
+
+/**
+ * What a crash attach must do to an image, worked out the slow way from
+ * the image before the attach: the block list from for_each_block, the
+ * free lists chased one by one, strays found by a linear scan and
+ * pushed one at a time, in address order, onto shard j % kNumShards.
+ */
+struct AttachOracle
+{
+    explicit AttachOracle(const NvHeap& crashed) : lists(free_lists(crashed))
+    {
+        std::set<uint64_t> listed;
+        for (const auto& l : lists) {
+            listed_blocks += l.size();
+            listed.insert(l.begin(), l.end());
+        }
+        std::vector<size_t> classes;
+        crashed.for_each_block([&](uint64_t raw, uint64_t size,
+                                   uint64_t meta) {
+            ++walked_blocks;
+            const uint64_t st = meta & 0xffff;
+            if (class_of(size) == NvHeap::kNumClasses)
+                return;
+            // Every FREEING block predates the attach's epoch bump.
+            if (st == NvHeap::kBlockFreeing
+                || (st == NvHeap::kBlockFree && listed.count(raw) == 0)) {
+                strays.push_back(raw);
+                classes.push_back(class_of(size));
+            }
+        });
+        for (size_t j = 0; j < strays.size(); ++j) {
+            auto& l = lists[(j % NvHeap::kNumShards) * NvHeap::kNumClasses
+                            + classes[j]];
+            l.insert(l.begin(), strays[j]);
+        }
+    }
+
+    FreeLists lists; ///< after the attach
+    std::vector<uint64_t> strays;
+    uint64_t listed_blocks = 0;
+    uint64_t walked_blocks = 0;
+};
+
+/**
+ * A crashed image of about `used` arena bytes: every size class plus
+ * some oversize blocks, a third of them freed (spilled to the shard
+ * lists, or parked FREEING in the cache the crash kills), and every
+ * 50th survivor flipped to FREE behind the lists' back -- the state a
+ * lost spill-head publish leaves.  Returns the crashed instance, still
+ * attached so the oracle can read the image through it.
+ */
+std::unique_ptr<NvHeap>
+crashed_image(PersistentHeap& heap, RealDomain& dom, uint64_t used)
+{
+    auto h = std::make_unique<NvHeap>(heap, dom);
+    heap.mark_running(dom);
+    Rng rng(11);
+    std::vector<uint64_t> all;
+    while (heap.size() - h->arena_remaining() < used) {
+        const size_t size = rng.percent(1) ? 5000 + rng.next_below(3000)
+                                           : 1 + rng.next_below(4096);
+        all.push_back(h->alloc(size, dom));
+        EXPECT_NE(all.back(), 0u);
+    }
+    std::vector<uint64_t> live;
+    for (const uint64_t off : all) {
+        if (rng.percent(33))
+            h->free_block(off, dom);
+        else
+            live.push_back(off);
+    }
+    for (size_t i = 0; i < live.size(); i += 50) {
+        auto* meta = heap.resolve<uint64_t>(live[i] - 8);
+        if (class_of(meta[-1]) == NvHeap::kNumClasses)
+            continue;
+        *meta = (*meta & ~uint64_t{0xffff}) | NvHeap::kBlockFree;
+    }
+    return h;
+}
+
+/** Run the crash attach of crashed_image(used) against the oracle;
+ *  returns the chunk count the attach walked. */
+size_t
+check_crash_attach(size_t heap_mib, uint64_t used)
+{
+    PersistentHeap heap({.size = heap_mib << 20});
+    RealDomain dom;
+    std::unique_ptr<NvHeap> crashed = crashed_image(heap, dom, used);
+    const AttachOracle want(*crashed);
+    crashed.reset(); // dies without spilling its caches
+    EXPECT_GT(want.listed_blocks, 100u);
+    EXPECT_GT(want.strays.size(), 100u);
+    heap.simulate_fresh_open();
+    EXPECT_TRUE(heap.recovered_from_crash());
+
+    NvHeap rec(heap, dom);
+    const NvHeap::AttachReclaim at = rec.take_attach_reclaim();
+    EXPECT_TRUE(at.ran);
+    EXPECT_EQ(at.blocks, want.strays.size());
+    EXPECT_EQ(at.listed_blocks, want.listed_blocks);
+    EXPECT_EQ(at.walked_blocks, want.walked_blocks);
+    if (!at.index.has_value()) {
+        ADD_FAILURE() << "a crash attach kept no index";
+        return 0;
+    }
+    // The index records every block as the pass left it.
+    std::vector<std::array<uint64_t, 3>> blocks, indexed;
+    rec.for_each_block([&](uint64_t raw, uint64_t size, uint64_t meta) {
+        blocks.push_back({raw, size, meta});
+    });
+    for (const IndexedBlock& b : at.index->blocks)
+        indexed.push_back({b.raw, b.size, b.meta});
+    EXPECT_EQ(indexed, blocks);
+    EXPECT_EQ(blocks.size(), want.walked_blocks);
+    // Same strays, relinked in the same order: every list byte-equal.
+    EXPECT_EQ(free_lists(rec), want.lists);
+    for (const uint64_t s : want.strays)
+        EXPECT_EQ(*heap.resolve<uint64_t>(s - 8) & 0xffff,
+                  NvHeap::kBlockFree);
+    EXPECT_TRUE(rec.check_consistency());
+    EXPECT_EQ(rec.recover_leaks(dom), 0u);
+
+    // The per-class gauges the pass seeded match a recount.
+    uint64_t all[NvHeap::kNumClasses] = {};
+    uint64_t freed[NvHeap::kNumClasses] = {};
+    rec.for_each_block([&](uint64_t, uint64_t size, uint64_t meta) {
+        const size_t c = class_of(size);
+        if (c == NvHeap::kNumClasses)
+            return;
+        ++all[c];
+        freed[c] += (meta & 0xffff) != NvHeap::kBlockLive;
+    });
+    const auto gauges = MetricsRegistry::instance().snapshot().gauges;
+    for (size_t c = 0; c < NvHeap::kNumClasses; ++c) {
+        const std::string base =
+            "nvheap.class." + std::to_string(kClassSizes[c]);
+        EXPECT_EQ(gauges.at(base + ".live"), all[c] - freed[c]) << base;
+        EXPECT_EQ(gauges.at(base + ".free"), freed[c]) << base;
+    }
+    return at.index->chunks.size();
+}
+
+TEST(NvHeapAttach, CrashAttachMatchesOracleSerial)
+{
+    EXPECT_LT(check_crash_attach(4, 3u << 20), kParallelChunks);
+}
+
+TEST(NvHeapAttach, CrashAttachMatchesOracleParallel)
+{
+    // More carved chunks than kParallelChunks: the chase and the walk
+    // both run on every core.  Several times the threshold, so the walk
+    // lasts long enough for every worker to claim segments (and collect
+    // strays) before the calling thread has walked them all.
+    const uint64_t used = 6 * kParallelChunks * NvHeap::kChunkBytes;
+    EXPECT_GT(check_crash_attach(128, used), kParallelChunks);
+}
+
+TEST(NvHeapAttach, IndexIsDroppedOnceAThreadAllocates)
+{
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    crashed_image(heap, dom, 1u << 20).reset();
+    heap.simulate_fresh_open();
+    NvHeap rec(heap, dom);
+    ASSERT_NE(rec.alloc(64, dom), 0u);
+    const NvHeap::AttachReclaim at = rec.take_attach_reclaim();
+    EXPECT_TRUE(at.ran);
+    EXPECT_FALSE(at.index.has_value());
+}
+
+/**
+ * Frees parked in a transient cache are FREEING under the running
+ * epoch, and a clean shutdown does not spill the cache.  Each clean
+ * attach must relink what the run before it parked; otherwise every
+ * cycle strands another cache's worth of blocks that nothing reuses.
+ */
+TEST(NvHeapAttach, CleanShutdownStrandsNoCachedFrees)
+{
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    constexpr int kCycles = 4;
+    constexpr int kFrees = 40; // below kCacheCap: nothing spills
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+        NvHeap h(heap, dom);
+        heap.mark_running(dom);
+        std::vector<uint64_t> offs;
+        for (int i = 0; i < kFrees; ++i)
+            offs.push_back(h.alloc(64, dom));
+        for (const uint64_t off : offs)
+            h.free_block(off, dom);
+        heap.mark_clean(dom);
+    }
+    heap.simulate_fresh_open();
+    ASSERT_FALSE(heap.recovered_from_crash());
+    NvHeap h(heap, dom);
+    uint64_t freeing = 0;
+    h.for_each_block([&](uint64_t, uint64_t, uint64_t meta) {
+        freeing += (meta & 0xffff) == NvHeap::kBlockFreeing;
+    });
+    EXPECT_EQ(freeing, 0u);
+    // Every block was freed, and every one is back on a list.
+    uint64_t blocks = 0;
+    h.for_each_block([&](uint64_t, uint64_t, uint64_t) { ++blocks; });
+    uint64_t listed = 0;
+    for (const auto& l : free_lists(h))
+        listed += l.size();
+    EXPECT_EQ(h.live_blocks(), 0u);
+    EXPECT_EQ(listed, blocks);
+    EXPECT_EQ(h.recover_leaks(dom), 0u);
+    EXPECT_TRUE(h.check_consistency());
 }
 
 // --------------------------------------------------------------------------
