@@ -139,13 +139,12 @@ NvthreadsThread::NvthreadsThread(NvthreadsRuntime& rt)
 NvthreadsThread::PageCopy&
 NvthreadsThread::copy_for(uint64_t page_off)
 {
+    // Nothing is copied up front: other threads may still write (or
+    // CAS lock holder words in) the page's clean chunks, and only the
+    // dirty ones are ever read back from the copy or merged.
     auto it = pages_.find(page_off);
-    if (it == pages_.end()) {
-        auto copy = std::make_unique<PageCopy>();
-        dom().load(heap().resolve<void>(page_off), copy->data.data(),
-                   kNvtPageBytes);
-        it = pages_.emplace(page_off, std::move(copy)).first;
-    }
+    if (it == pages_.end())
+        it = pages_.emplace(page_off, std::make_unique<PageCopy>()).first;
     return *it->second;
 }
 
@@ -167,9 +166,16 @@ NvthreadsThread::do_store(uint64_t off, const void* src, size_t n)
         const size_t in_page = cur - page_off;
         const size_t take = std::min(n - done, kNvtPageBytes - in_page);
         PageCopy& pc = copy_for(page_off);
-        std::memcpy(pc.data.data() + in_page, bytes + done, take);
-        for (size_t c = in_page / 8; c <= (in_page + take - 1) / 8; ++c)
+        for (size_t c = in_page / 8; c <= (in_page + take - 1) / 8; ++c) {
+            if (pc.dirty.test(c))
+                continue;
+            // First store to the chunk: start from its current bytes so
+            // a sub-chunk store merges with what is in memory now.
+            dom().load(heap().resolve<void>(page_off + c * 8),
+                       pc.data.data() + c * 8, 8);
             pc.dirty.set(c);
+        }
+        std::memcpy(pc.data.data() + in_page, bytes + done, take);
         done += take;
     }
 }

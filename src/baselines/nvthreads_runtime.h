@@ -14,6 +14,10 @@
  * own dependence tracking to resolve page-level write sharing), we
  * track dirty 8-byte chunks within each page and merge only those at
  * commit, so false page sharing between threads never loses updates.
+ * A chunk's bytes are read from memory when it is first dirtied, not
+ * when the page is first touched, so a sub-chunk store merges with
+ * the chunk as it stands then.  The log entry still carries the whole
+ * page: that cost is NVThreads'.
  */
 #pragma once
 

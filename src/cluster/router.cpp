@@ -1,7 +1,6 @@
 #include "cluster/router.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -20,15 +19,6 @@
 namespace ido::cluster {
 
 namespace {
-
-void
-set_nonblocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    IDO_ASSERT(flags >= 0, "fcntl(F_GETFL) failed");
-    int rc = ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    IDO_ASSERT(rc == 0, "fcntl(F_SETFL) failed");
-}
 
 uint64_t
 mono_ns()
@@ -78,7 +68,7 @@ Router::Router(const RouterConfig& cfg)
                        &alen);
     IDO_ASSERT(rc == 0, "getsockname() failed");
     port_ = ntohs(addr.sin_port);
-    set_nonblocking(listen_fd_);
+    net::set_nonblocking(listen_fd_);
 
     // The EventLoop has no timer facility by design; a timerfd is just
     // another readable fd, so the sweep rides the same epoll.
@@ -164,7 +154,7 @@ Router::on_accept(uint32_t events)
                 continue;
             return;
         }
-        set_nonblocking(fd);
+        net::set_nonblocking(fd);
         int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         auto c = std::make_unique<Conn>();
@@ -415,7 +405,7 @@ Router::start_connect(uint32_t node)
     IDO_ASSERT(u.state != UpState::kUp, "connect on a live upstream");
     int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     IDO_ASSERT(fd >= 0, "socket() failed");
-    set_nonblocking(fd);
+    net::set_nonblocking(fd);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     sockaddr_in addr = {};

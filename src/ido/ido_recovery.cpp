@@ -31,8 +31,13 @@ namespace ido {
 void
 IdoRuntime::recover()
 {
+    // A crash attach already ran the leak reclaim in the NvHeap
+    // constructor's one header pass; a second whole-heap walk would
+    // find nothing, so report that pass instead of repeating it, and
+    // count it into the recovery's wall time.
+    nvm::NvHeap::AttachReclaim at_attach = alloc_.take_attach_reclaim();
     RecoveryTimeline& tl = RecoveryTimeline::instance();
-    tl.start("crash");
+    tl.start("crash", at_attach.ns);
     persist_counters_flush_tls();
     const PersistCounters persist_before = persist_counters_global();
     std::atomic<uint64_t> locks_reacquired{0};
@@ -79,10 +84,7 @@ IdoRuntime::recover()
     uint64_t t0 = stat_now_ns();
     bump_lock_epoch();
     // Relink any block the crashed epoch stranded mid-free (NvHeap's
-    // online leak reclamation).  A crash attach already ran it in the
-    // NvHeap constructor's one header pass; a second whole-heap walk
-    // would find nothing, so report that pass instead of repeating it.
-    nvm::NvHeap::AttachReclaim at_attach = alloc_.take_attach_reclaim();
+    // online leak reclamation), unless the attach did (above).
     uint64_t reclaimed = at_attach.blocks;
     uint64_t reclaim_ns = at_attach.ns;
     if (!at_attach.ran)

@@ -1,6 +1,5 @@
 #include "net/admin.h"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -20,15 +19,6 @@ namespace {
 /// A legitimate scraper GET fits in one packet; anything bigger is
 /// garbage and gets the connection dropped.
 constexpr size_t kMaxHead = 16 * 1024;
-
-void
-admin_set_nonblocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    IDO_ASSERT(flags >= 0, "fcntl(F_GETFL) failed");
-    int rc = ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    IDO_ASSERT(rc == 0, "fcntl(F_SETFL) failed");
-}
 
 std::string
 http_response(int code, const char* reason,
@@ -69,7 +59,7 @@ AdminEndpoint::AdminEndpoint(uint16_t port)
                        &alen);
     IDO_ASSERT(rc == 0, "admin getsockname() failed");
     port_ = ntohs(addr.sin_port);
-    admin_set_nonblocking(listen_fd_);
+    set_nonblocking(listen_fd_);
 }
 
 AdminEndpoint::~AdminEndpoint()
@@ -121,7 +111,7 @@ AdminEndpoint::on_accept(uint32_t events)
                 continue;
             return; // EAGAIN and everything else: try again next event
         }
-        admin_set_nonblocking(fd);
+        set_nonblocking(fd);
         auto c = std::make_unique<AdminConn>();
         c->fd = fd;
         conns_[fd] = std::move(c);

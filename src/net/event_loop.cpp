@@ -1,5 +1,6 @@
 #include "net/event_loop.h"
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -10,6 +11,15 @@
 #include "common/panic.h"
 
 namespace ido::net {
+
+void
+set_nonblocking(int fd)
+{
+    int flags = ::fcntl(fd, F_GETFL, 0);
+    IDO_ASSERT(flags >= 0, "fcntl(F_GETFL) failed");
+    int rc = ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    IDO_ASSERT(rc == 0, "fcntl(F_SETFL) failed");
+}
 
 EventLoop::EventLoop()
 {

@@ -23,6 +23,9 @@
 
 namespace ido::net {
 
+/** Put fd in O_NONBLOCK mode; panics if fcntl fails. */
+void set_nonblocking(int fd);
+
 class EventLoop
 {
   public:

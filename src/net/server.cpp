@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -20,19 +19,6 @@
 #include "trace/trace.h"
 
 namespace ido::net {
-
-namespace {
-
-void
-set_nonblocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    IDO_ASSERT(flags >= 0, "fcntl(F_GETFL) failed");
-    int rc = ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    IDO_ASSERT(rc == 0, "fcntl(F_SETFL) failed");
-}
-
-} // namespace
 
 Server::Server(rt::Runtime& rt, const ServerConfig& cfg) : rt_(rt), cfg_(cfg)
 {

@@ -36,8 +36,15 @@ hex(uint64_t v)
     return buf;
 }
 
-/** Frontier entries a mark thread claims at a time. */
+/** Frontier blocks, or wide-table link fields, a mark thread claims
+ *  at a time; also the window the resolver prefetches ahead by. */
 constexpr size_t kClaimBatch = 64;
+
+inline void
+prefetch(const void* p)
+{
+    __builtin_prefetch(p, 0, 3);
+}
 
 /**
  * A problem the mark found in one traced block, kept as raw facts and
@@ -86,6 +93,15 @@ struct MarkFinding
     }
 };
 
+/** A link the mark has loaded but not yet resolved. */
+struct PendingLink
+{
+    uint64_t value; ///< the link's target offset, never 0
+    uint64_t src;   ///< raw offset of the traced block
+    uint64_t seq;   ///< the link's position in that block, from 1
+    const TypeDescriptor* type;
+};
+
 } // namespace
 
 /** One mark thread's private state; lanes are folded after the mark. */
@@ -93,6 +109,7 @@ struct HeapGc::MarkLane
 {
     std::vector<uint32_t> next;   ///< blocks this lane claimed this level
     std::vector<uint64_t> fields; ///< scratch: one block's link fields
+    std::vector<PendingLink> links; ///< loaded, awaiting resolve_links
     uint64_t dangling = 0;
     /** The kMaxFindings + 1 lowest findings seen (a max-heap): enough
      *  to fill the report and decide whether it was elided. */
@@ -175,18 +192,19 @@ HeapGc::find_block(uint64_t off) const
     // An interior pointer lands anywhere in [raw, raw + size): the
     // owner is the last block starting at or before off.  Blocks before
     // the granule's first start before the granule, blocks from the
-    // next granule's first on start after off, so the search stays
-    // inside the few blocks that start in off's granule.
-    if (off < granule_base_ || off >= granule_limit_)
+    // next granule's first on start after off, so counting the few
+    // blocks that start in off's granule at or before it finds the
+    // owner (a count, not a branchy binary search: two to four
+    // candidates).
+    const uint32_t* g = granule_of(off);
+    if (g == nullptr)
         return kNpos;
-    const size_t g = (off - granule_base_) >> granule_shift_;
-    const auto it = std::upper_bound(
-        blocks_.begin() + granule_first_[g],
-        blocks_.begin() + granule_first_[g + 1], off,
-        [](uint64_t v, const BlockInfo& b) { return v < b.raw; });
-    if (it == blocks_.begin())
+    size_t n = g[0];
+    for (size_t k = g[0]; k < g[1]; ++k)
+        n += blocks_[k].raw <= off;
+    if (n == 0)
         return kNpos;
-    const size_t i = static_cast<size_t>(it - blocks_.begin()) - 1;
+    const size_t i = n - 1;
     const BlockInfo& b = blocks_[i];
     if (off < b.raw || off >= b.raw + b.size)
         return kNpos;
@@ -273,80 +291,169 @@ HeapGc::build_granules()
     granule_limit_ = blocks_.back().raw + blocks_.back().size;
     const uint64_t span = granule_limit_ - granule_base_;
     const uint64_t want =
-        std::max<uint64_t>(64, span / blocks_.size() * 4);
+        std::max<uint64_t>(64, span / blocks_.size() * 2);
     granule_shift_ = static_cast<unsigned>(std::bit_width(want - 1));
     const size_t granules =
         static_cast<size_t>(((span - 1) >> granule_shift_) + 1);
     granule_first_.resize(granules + 1);
-    size_t i = 0;
-    for (size_t g = 0; g <= granules; ++g) {
-        const uint64_t start =
-            granule_base_ + (static_cast<uint64_t>(g) << granule_shift_);
-        while (i < blocks_.size() && blocks_[i].raw < start)
-            ++i;
-        granule_first_[g] = static_cast<uint32_t>(i);
-    }
+    const auto granule_start = [&](size_t g) {
+        return granule_base_ + (static_cast<uint64_t>(g) << granule_shift_);
+    };
+    // Each range of granules finds its first block by binary search,
+    // then steps through the blocks it covers.
+    const auto fill = [&](size_t, size_t begin, size_t end) {
+        auto it = std::lower_bound(
+            blocks_.begin(), blocks_.end(), granule_start(begin),
+            [](const BlockInfo& b, uint64_t v) { return b.raw < v; });
+        for (size_t g = begin; g < end; ++g) {
+            while (it != blocks_.end() && it->raw < granule_start(g))
+                ++it;
+            granule_first_[g] = static_cast<uint32_t>(it - blocks_.begin());
+        }
+    };
+    parallel_ranges(granules + 1,
+                    blocks_.size() < kParallelFrontier ? 1 : worker_count(),
+                    4096, fill);
 }
 
-void
-HeapGc::trace_block(size_t i, MarkLane* lane, std::vector<MarkLane>* fan)
+const uint32_t*
+HeapGc::granule_of(uint64_t off) const
 {
-    const BlockInfo& b = blocks_[i];
-    const TypeDescriptor* d = descriptor(b.meta);
-    if (d == nullptr)
-        return; // opaque: reachable, never traced through
-    const uint64_t pub = published_off(b);
-    if (d->payload_size != 0 && pub + d->payload_size > b.raw + b.size) {
-        lane->find({b.raw, 0, 0, d, MarkFinding::kUndersized});
-        return;
-    }
-    lane->fields.clear();
-    collect_link_fields(b, &lane->fields);
-    const std::vector<uint64_t>& fields = lane->fields;
-    if (fan != nullptr && fields.size() >= kParallelFrontier) {
-        // One block with a wide link table (a hash-bucket array) is a
-        // level's worth of work on its own: split its fields.
-        parallel_for(fields.size(), fan->size(), kClaimBatch,
-                     [&](size_t w, size_t k) {
-                         trace_link(b, d, fields[k], k + 1, &(*fan)[w]);
-                     });
-        return;
-    }
-    for (size_t k = 0; k < fields.size(); ++k)
-        trace_link(b, d, fields[k], k + 1, lane);
+    if (off < granule_base_ || off >= granule_limit_)
+        return nullptr;
+    return &granule_first_[(off - granule_base_) >> granule_shift_];
 }
 
 void
-HeapGc::trace_link(const BlockInfo& b, const TypeDescriptor* d,
-                   uint64_t field, uint64_t seq, MarkLane* lane)
+HeapGc::trace_blocks(const uint32_t* ids, size_t n, MarkLane* lane,
+                     std::vector<MarkLane>* fan)
+{
+    PersistentHeap& ph = heap_.heap_;
+    // Stage 1: the batch's index entries, then its link fields.
+    for (size_t k = 0; k < n; ++k)
+        prefetch(&blocks_[ids[k]]);
+    for (size_t k = 0; k < n; ++k) {
+        const BlockInfo& b = blocks_[ids[k]];
+        const TypeDescriptor* d = descriptor(b.meta);
+        if (d == nullptr)
+            continue;
+        const uint64_t pub = published_off(b);
+        prefetch(ph.resolve<char>(pub));
+        for (const uint32_t o : d->link_offsets)
+            if (pub + o < ph.size())
+                prefetch(ph.resolve<char>(pub + o));
+    }
+    // Stage 2: every non-null link into the lane buffer.
+    for (size_t k = 0; k < n; ++k) {
+        const BlockInfo& b = blocks_[ids[k]];
+        const TypeDescriptor* d = descriptor(b.meta);
+        if (d == nullptr)
+            continue; // opaque: reachable, never traced through
+        const uint64_t pub = published_off(b);
+        if (d->payload_size != 0 && pub + d->payload_size > b.raw + b.size) {
+            lane->find({b.raw, 0, 0, d, MarkFinding::kUndersized});
+            continue;
+        }
+        lane->fields.clear();
+        collect_link_fields(b, &lane->fields);
+        const std::vector<uint64_t>& fields = lane->fields;
+        if (fields.size() <= kClaimBatch) {
+            for (size_t f = 0; f < fields.size(); ++f)
+                load_link(b.raw, d, fields[f], f + 1, lane);
+            continue;
+        }
+        // A wide link table (a hash-bucket array) is traced in batches
+        // of its own; one with a level's worth of links is split over
+        // every lane (`fan` lanes other than this one are idle here).
+        if (fan != nullptr && fields.size() >= kParallelFrontier) {
+            parallel_ranges(fields.size(), fan->size(), kClaimBatch,
+                            [&](size_t w, size_t begin, size_t end) {
+                                trace_fields(b.raw, d, fields, begin, end,
+                                             &(*fan)[w]);
+                            });
+        } else {
+            for (size_t f = 0; f < fields.size(); f += kClaimBatch)
+                trace_fields(b.raw, d, fields, f,
+                             std::min(f + kClaimBatch, fields.size()), lane);
+        }
+    }
+    resolve_links(lane);
+}
+
+void
+HeapGc::trace_fields(uint64_t src, const TypeDescriptor* d,
+                     const std::vector<uint64_t>& fields, size_t begin,
+                     size_t end, MarkLane* lane)
+{
+    PersistentHeap& ph = heap_.heap_;
+    for (size_t f = begin; f < end; ++f)
+        if (fields[f] < ph.size())
+            prefetch(ph.resolve<char>(fields[f]));
+    for (size_t f = begin; f < end; ++f)
+        load_link(src, d, fields[f], f + 1, lane);
+    resolve_links(lane);
+}
+
+void
+HeapGc::load_link(uint64_t src, const TypeDescriptor* d, uint64_t field,
+                  uint64_t seq, MarkLane* lane)
 {
     PersistentHeap& ph = heap_.heap_;
     if (field + sizeof(uint64_t) > ph.size()) {
         ++lane->dangling;
-        lane->find({b.raw, seq, 0, d, MarkFinding::kFieldOutside});
+        lane->find({src, seq, 0, d, MarkFinding::kFieldOutside});
         return;
     }
     const uint64_t v = *ph.resolve<uint64_t>(field);
-    if (v == 0)
-        return;
-    const size_t j = find_block(v);
-    if (j == kNpos) {
-        ++lane->dangling;
-        lane->find({b.raw, seq, v, d, MarkFinding::kHitsNoBlock});
-        return;
+    if (v != 0)
+        lane->links.push_back(PendingLink{v, src, seq, d});
+}
+
+void
+HeapGc::resolve_links(MarkLane* lane)
+{
+    const std::vector<PendingLink>& links = lane->links;
+    for (size_t w = 0; w < links.size(); w += kClaimBatch) {
+        const size_t end = std::min(w + kClaimBatch, links.size());
+        // Stage 3: each target's granule entry, then the index entries
+        // it names -- the first block starting in the granule, and the
+        // last block a lookup there can return.
+        for (size_t k = w; k < end; ++k)
+            if (const uint32_t* g = granule_of(links[k].value))
+                prefetch(g);
+        for (size_t k = w; k < end; ++k) {
+            if (const uint32_t* g = granule_of(links[k].value)) {
+                prefetch(&blocks_[std::min<size_t>(g[0], blocks_.size() - 1)]);
+                if (g[1] > g[0] + 1)
+                    prefetch(&blocks_[g[1] - 1]);
+            }
+        }
+        // Stage 4: lookup, LIVE check, mark claim.
+        for (size_t k = w; k < end; ++k) {
+            const PendingLink& l = links[k];
+            const size_t j = find_block(l.value);
+            if (j == kNpos) {
+                ++lane->dangling;
+                lane->find({l.src, l.seq, l.value, l.type,
+                            MarkFinding::kHitsNoBlock});
+                continue;
+            }
+            BlockInfo& t = blocks_[j];
+            if (NvHeap::meta_state(t.meta) != NvHeap::kBlockLive) {
+                ++lane->dangling;
+                lane->find({l.src, l.seq, l.value, l.type,
+                            MarkFinding::kNonLive});
+                continue;
+            }
+            // The plain load keeps already-marked targets (most links
+            // in a dense structure) off the locked exchange.
+            std::atomic_ref<uint8_t> m(t.marked);
+            if (m.load(std::memory_order_relaxed) == 0
+                && m.exchange(1, std::memory_order_relaxed) == 0)
+                lane->next.push_back(static_cast<uint32_t>(j));
+        }
     }
-    BlockInfo& t = blocks_[j];
-    if (NvHeap::meta_state(t.meta) != NvHeap::kBlockLive) {
-        ++lane->dangling;
-        lane->find({b.raw, seq, v, d, MarkFinding::kNonLive});
-        return;
-    }
-    // The plain load keeps already-marked targets (most links in a
-    // dense structure) off the locked exchange.
-    std::atomic_ref<uint8_t> m(t.marked);
-    if (m.load(std::memory_order_relaxed) == 0
-        && m.exchange(1, std::memory_order_relaxed) == 0)
-        lane->next.push_back(static_cast<uint32_t>(j));
+    lane->links.clear();
 }
 
 void
@@ -385,20 +492,25 @@ HeapGc::mark(GcStats* s)
     // Level-synchronous: every block of one level is traced before any
     // of the next, and each block is traced by whichever lane claims
     // its mark byte first.  The marked set, the dangling count and the
-    // ordered findings do not depend on which lane that was.
+    // ordered findings do not depend on which lane that was, nor on
+    // how the resolver batches and reorders a lane's links.
     std::vector<MarkLane> lanes(worker_count());
     std::vector<MarkLane>* fan = lanes.size() > 1 ? &lanes : nullptr;
     while (!frontier.empty()) {
         for (MarkLane& l : lanes)
             l.next.clear();
         if (fan == nullptr || frontier.size() < kParallelFrontier) {
-            for (const uint32_t i : frontier)
-                trace_block(i, &lanes[0], fan);
+            for (size_t k = 0; k < frontier.size(); k += kClaimBatch)
+                trace_blocks(frontier.data() + k,
+                             std::min(kClaimBatch, frontier.size() - k),
+                             &lanes[0], fan);
         } else {
-            parallel_for(frontier.size(), lanes.size(), kClaimBatch,
-                         [&](size_t w, size_t k) {
-                             trace_block(frontier[k], &lanes[w], nullptr);
-                         });
+            parallel_ranges(frontier.size(), lanes.size(), kClaimBatch,
+                            [&](size_t w, size_t begin, size_t end) {
+                                trace_blocks(frontier.data() + begin,
+                                             end - begin, &lanes[w],
+                                             nullptr);
+                            });
         }
         frontier.clear();
         for (const MarkLane& l : lanes)

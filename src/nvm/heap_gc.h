@@ -44,13 +44,16 @@
  * the one a crash attach already ran; see adopt_index) builds a block
  * index sorted by offset plus a coarse granule table over it, so
  * resolving a link (interior pointers included) is one table read and
- * a search among the few blocks that start in the granule -- the mark
- * is O(blocks + links).  The mark runs level by level from the roots;
+ * a scan of the few blocks that start in the granule -- the mark is
+ * O(blocks + links).  The mark runs level by level from the roots;
  * a level with at least kParallelFrontier blocks is traced by
  * hardware_concurrency() threads claiming blocks with one atomic mark
- * byte each, smaller levels stay on the calling thread.  Findings are
- * ordered by the offset of the block holding the bad link, not by
- * discovery, so the report is identical whatever the schedule.
+ * byte each, smaller levels stay on the calling thread.  Each link is
+ * a chain of dependent cache misses (field, granule entry, index
+ * entry), so links are resolved in batches, each stage prefetching
+ * what the next one reads.  Findings are ordered by the offset of the
+ * block holding the bad link, not by discovery, so the report is
+ * identical whatever the schedule.
  *
  * Concurrency contract: quiescent callers only (no mutator threads
  * between construction and the call's return).  Transient caches are
@@ -189,13 +192,32 @@ class HeapGc
     void build_index();
     void build_granules();
     void mark(GcStats* s);
-    /** Trace one marked block's link fields into lane; a block with
-     *  at least kParallelFrontier fields is split over `fan` instead
-     *  (nullptr: already inside a parallel level). */
-    void trace_block(size_t i, MarkLane* lane, std::vector<MarkLane>* fan);
-    /** Resolve one link field of traced block b; seq orders findings. */
-    void trace_link(const BlockInfo& b, const TypeDescriptor* d,
-                    uint64_t field, uint64_t seq, MarkLane* lane);
+    /** &granule_first_[g] for the granule holding off, or nullptr if
+     *  off lies outside the indexed span. */
+    const uint32_t* granule_of(uint64_t off) const;
+    /**
+     * The mark's one link resolver.  Traces the marked blocks ids[0..n)
+     * (one claimed frontier batch) into lane in stages: prefetch their
+     * index entries, then their link fields; load the links into the
+     * lane buffer; resolve_links.  A block with more than a batch of
+     * link fields is traced by trace_fields a batch at a time, split
+     * over `fan` from kParallelFrontier fields up (nullptr: already
+     * inside a parallel level).
+     */
+    void trace_blocks(const uint32_t* ids, size_t n, MarkLane* lane,
+                      std::vector<MarkLane>* fan);
+    /** Prefetch, load and resolve link fields [begin, end) of block
+     *  src (one batch of a wide link table). */
+    void trace_fields(uint64_t src, const TypeDescriptor* d,
+                      const std::vector<uint64_t>& fields, size_t begin,
+                      size_t end, MarkLane* lane);
+    /** Load one link field into the lane buffer; seq orders findings. */
+    void load_link(uint64_t src, const TypeDescriptor* d, uint64_t field,
+                   uint64_t seq, MarkLane* lane);
+    /** Resolve and empty the lane buffer a window at a time: prefetch
+     *  the targets' granule entries, then their index entries, then
+     *  look up, check LIVE and claim each target's mark byte. */
+    void resolve_links(MarkLane* lane);
     void census(GcStats* s);
     /** build_index + mark + census, each timed into s. */
     void reach(GcStats* s);
@@ -235,8 +257,9 @@ class HeapGc
     // granule_first_[g] counts the blocks whose raw offset lies before
     // it, so the blocks starting inside granule g are
     // blocks_[granule_first_[g] .. granule_first_[g + 1]).  Granules
-    // are sized to hold about four blocks, so the table costs at most
-    // one byte per block.
+    // are sized to hold two to four blocks, so a lookup reads one or
+    // two cache lines of blocks_ and the table costs at most two bytes
+    // per block.
     std::vector<uint32_t> granule_first_;
     uint64_t granule_base_ = 0;
     uint64_t granule_limit_ = 0; ///< end of the last block's payload

@@ -1,8 +1,42 @@
 #include "nvm/heap_walk.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
+
 #include "common/panic.h"
 
 namespace ido::nvm {
+
+void*
+map_huge(size_t bytes)
+{
+    // Over-map by one huge page and trim both ends: the start to the
+    // alignment, the end to the small page holding the last byte.
+    const auto page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    const size_t len = (bytes + page - 1) & ~(page - 1);
+    const size_t span = len + kHugePageBytes;
+    void* m = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED)
+        throw std::bad_alloc();
+    const auto base = reinterpret_cast<uintptr_t>(m);
+    const uintptr_t p =
+        (base + kHugePageBytes - 1) & ~uintptr_t{kHugePageBytes - 1};
+    if (p != base)
+        ::munmap(m, p - base);
+    ::munmap(reinterpret_cast<void*>(p + len), base + span - p - len);
+    // Advice only: where it is refused the array lives on small pages.
+    ::madvise(reinterpret_cast<void*>(p), len, MADV_HUGEPAGE);
+    return reinterpret_cast<void*>(p);
+}
+
+void
+unmap_huge(void* p, size_t bytes)
+{
+    ::munmap(p, bytes); // the kernel rounds the length up to a page
+}
 
 ArenaWalk::ArenaWalk(const PersistentHeap& heap, uint64_t data_begin,
                      uint64_t bump)

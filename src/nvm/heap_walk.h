@@ -67,13 +67,13 @@ worker_count()
 }
 
 /**
- * fn(worker, k) for every k < n on `workers` threads -- worker 0 is
- * the calling thread -- each claiming `batch` consecutive indexes at a
- * time, so uneven items balance out.
+ * fn(worker, begin, end) over [0, n) on `workers` threads -- worker 0
+ * is the calling thread -- each claiming `batch` consecutive indexes
+ * [begin, end) at a time, so uneven items balance out.
  */
 template <typename Fn>
 void
-parallel_for(size_t n, size_t workers, size_t batch, Fn&& fn)
+parallel_ranges(size_t n, size_t workers, size_t batch, Fn&& fn)
 {
     std::atomic<size_t> cursor{0};
     const auto run = [&](size_t worker) {
@@ -82,9 +82,7 @@ parallel_for(size_t n, size_t workers, size_t batch, Fn&& fn)
                 cursor.fetch_add(batch, std::memory_order_relaxed);
             if (begin >= n)
                 return;
-            const size_t end = std::min(begin + batch, n);
-            for (size_t k = begin; k < end; ++k)
-                fn(worker, k);
+            fn(worker, begin, std::min(begin + batch, n));
         }
     };
     std::vector<std::thread> helpers;
@@ -94,6 +92,18 @@ parallel_for(size_t n, size_t workers, size_t batch, Fn&& fn)
     run(0);
     for (std::thread& t : helpers)
         t.join();
+}
+
+/** fn(worker, k) for every k < n, claimed as in parallel_ranges. */
+template <typename Fn>
+void
+parallel_for(size_t n, size_t workers, size_t batch, Fn&& fn)
+{
+    parallel_ranges(n, workers, batch,
+                    [&](size_t worker, size_t begin, size_t end) {
+                        for (size_t k = begin; k < end; ++k)
+                            fn(worker, k);
+                    });
 }
 
 /** One block of a heap index.  The last three bytes are HeapGc's
@@ -108,11 +118,26 @@ struct IndexedBlock
     bool pinned;
 };
 
+/** Arrays from this size up are mapped 2-MiB aligned and advised
+ *  MADV_HUGEPAGE (see DefaultInitAllocator). */
+constexpr size_t kHugeIndexBytes = size_t{4} << 20;
+constexpr size_t kHugePageBytes = size_t{2} << 20;
+
+/** A fresh kHugePageBytes-aligned anonymous mapping of `bytes`,
+ *  advised MADV_HUGEPAGE before anything touches it.  Its last
+ *  partial huge page stays on small pages, so it adds no memory. */
+void* map_huge(size_t bytes);
+void unmap_huge(void* p, size_t bytes);
+
 /**
  * std::allocator whose argument-less construct() default-initializes,
  * so resize() leaves trivial elements unwritten instead of zeroing a
  * whole index on one thread: the parallel fill writes -- and first
- * touches -- every element itself.
+ * touches -- every element itself.  Arrays of kHugeIndexBytes or more
+ * come from map_huge(): a heap index is read at random by the GC mark,
+ * and on 4-KiB pages nearly every such read is also a TLB miss.  The
+ * advice concerns this process's own mapping only; where transparent
+ * huge pages are off it changes nothing.
  */
 template <typename T>
 struct DefaultInitAllocator : std::allocator<T>
@@ -127,6 +152,23 @@ struct DefaultInitAllocator : std::allocator<T>
     template <typename U>
     DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept
     {
+    }
+
+    T*
+    allocate(size_t n)
+    {
+        if (n * sizeof(T) < kHugeIndexBytes)
+            return std::allocator<T>::allocate(n);
+        return static_cast<T*>(map_huge(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T* p, size_t n) noexcept
+    {
+        if (n * sizeof(T) < kHugeIndexBytes)
+            std::allocator<T>::deallocate(p, n);
+        else
+            unmap_huge(p, n * sizeof(T));
     }
 
     template <typename U>

@@ -16,13 +16,13 @@ RecoveryTimeline::instance()
 }
 
 void
-RecoveryTimeline::start(const std::string& trigger)
+RecoveryTimeline::start(const std::string& trigger, uint64_t earlier_ns)
 {
     std::lock_guard<std::mutex> g(mu_);
     recorded_ = false;
     open_ = true;
     trigger_ = trigger;
-    start_ns_ = stat_now_ns();
+    start_ns_ = stat_now_ns() - earlier_ns;
     wall_ns_ = 0;
     phases_.clear();
     fields_.clear();

@@ -33,8 +33,10 @@ class RecoveryTimeline
     static RecoveryTimeline& instance();
 
     /** Begin a new timeline (discards any previous one).
-     *  `trigger` is "crash" or "clean". */
-    void start(const std::string& trigger);
+     *  `trigger` is "crash" or "clean"; `earlier_ns` is time this
+     *  recovery already spent before the call (the attach-time leak
+     *  reclaim), counted into the wall time. */
+    void start(const std::string& trigger, uint64_t earlier_ns = 0);
 
     /** Append a completed phase: wall time + one detail count, plus
      *  optional named sub-measurements rendered as the phase's own

@@ -2,9 +2,13 @@
  * @file
  * Recovery-semantics tests for the baseline runtimes: Atlas rollback
  * (including cross-FASE dependence dooming), Mnemosyne redo replay,
- * JUSTDO resumption, NVML undo, NVThreads page replay.
+ * JUSTDO resumption, NVML undo, NVThreads page replay -- and the
+ * NVThreads chunk merge under false page sharing.
  */
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "baselines/atlas_runtime.h"
 #include "baselines/justdo_runtime.h"
@@ -356,6 +360,65 @@ TEST(NvmlRecovery, UndoesInterruptedTransaction)
     world.crash_and_recover(CrashPolicy::kPersistAll);
     EXPECT_EQ(*world.heap.resolve<uint64_t>(cell), 10u);
     EXPECT_EQ(*world.heap.resolve<uint64_t>(cell + 8), 11u);
+}
+
+/**
+ * NVThreads false page sharing: thread A dirties chunk 0 of a page,
+ * thread B then durably writes chunk 1 of the same page, and A stores
+ * four bytes into chunk 1 before it commits.  A's merge must carry
+ * B's other four bytes, not the chunk as it stood when A first
+ * touched the page.
+ */
+TEST(NvthreadsPages, SubChunkStoreMergesAnotherThreadsBytes)
+{
+    nvm::PersistentHeap heap({.size = 4u << 20});
+    nvm::RealDomain dom;
+    NvthreadsRuntime runtime(heap, dom, rt::RuntimeConfig{});
+    const uint64_t block = runtime.allocator().alloc(3 * kNvtPageBytes, dom);
+    ASSERT_NE(block, 0u);
+    static uint64_t page;
+    static std::atomic<int> step;
+    page = (block + kNvtPageBytes - 1) & ~uint64_t{kNvtPageBytes - 1};
+    step = 0;
+
+    auto a_body = +[](rt::RuntimeThread& th, rt::RegionCtx&) -> uint32_t {
+        th.store_u64(page, 0xaaaaaaaaaaaaaaaaull);
+        step = 1; // chunk 0 dirty: let B run
+        while (step.load() != 2)
+            std::this_thread::yield();
+        const uint32_t low = 0x11111111;
+        th.store_bytes(page + 8, &low, sizeof low);
+        return rt::kRegionEnd;
+    };
+    auto b_body = +[](rt::RuntimeThread& th, rt::RegionCtx&) -> uint32_t {
+        th.store_u64(page + 8, 0xbbbbbbbbccccccccull);
+        return rt::kRegionEnd;
+    };
+    rt::FaseProgram a, b;
+    a.fase_id = 9100;
+    a.name = "nvt.a";
+    a.regions = {{a_body, "a", 0, 0, 0, 0}};
+    b.fase_id = 9101;
+    b.name = "nvt.b";
+    b.regions = {{b_body, "b", 0, 0, 0, 0}};
+
+    std::thread ta([&] {
+        auto th = runtime.make_thread();
+        rt::RegionCtx ctx;
+        th->run_fase(a, ctx);
+    });
+    while (step.load() != 1)
+        std::this_thread::yield();
+    {
+        auto th = runtime.make_thread();
+        rt::RegionCtx ctx;
+        th->run_fase(b, ctx);
+    }
+    step = 2;
+    ta.join();
+
+    EXPECT_EQ(*heap.resolve<uint64_t>(page), 0xaaaaaaaaaaaaaaaaull);
+    EXPECT_EQ(*heap.resolve<uint64_t>(page + 8), 0xbbbbbbbb11111111ull);
 }
 
 TEST(RuntimeTraits, TableTwoProperties)

@@ -9,14 +9,17 @@
  * move journal resolved by the next GC and the corpus byte-compared
  * afterwards.  The granule lookup and the (parallel) level-synchronous
  * mark are checked against a brute-force oracle: the block list from
- * NvHeap::for_each_block, searched linearly.
+ * NvHeap::for_each_block, searched linearly -- including bad links
+ * planted at the batched resolver's batch boundaries.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -726,6 +729,268 @@ TEST(HeapGcParallelMark, WideCorpusMatchesOracleAndIsDeterministic)
     const std::string want = census_json(first);
     for (int run = 0; run < 10; ++run)
         ASSERT_EQ(census_json(HeapGc(h, dom).audit()), want) << "run " << run;
+}
+
+// --------------------------------------------------------------------------
+// The batched resolver at its batch boundaries
+// --------------------------------------------------------------------------
+
+/** A probe slot holding this value enumerates as a link field past the
+ *  end of the heap (the shape of a corrupt table length). */
+constexpr uint64_t kOutsideField = 0x0badf1e1d0000001ull;
+
+/**
+ * Probe block: the fan layout (a count, then that many link fields)
+ * under a type that declares a 32-byte payload, so a 16-byte probe is
+ * undersized, and whose kOutsideField slots lie outside the heap.
+ */
+void
+register_probe_type()
+{
+    TypeDescriptor d;
+    d.name = "gc.test_probe";
+    d.payload_size = 32;
+    d.enumerate_link_fields = [](const PersistentHeap& heap, uint64_t pub,
+                                 std::vector<uint64_t>* out) {
+        const uint64_t n = *heap.resolve<uint64_t>(pub);
+        for (uint64_t i = 0; i < n; ++i) {
+            const uint64_t f = pub + 8 + 8 * i;
+            out->push_back(*heap.resolve<uint64_t>(f) == kOutsideField
+                               ? heap.size()
+                               : f);
+        }
+    };
+    TypeRegistry::instance().register_type(TypeId::kTestBlock, d);
+}
+
+/** What a GC run over a probe corpus must report. */
+struct ProbeExpect
+{
+    std::vector<uint64_t> marked;
+    uint64_t dangling = 0;
+    std::vector<std::string> findings;
+};
+
+/**
+ * The probe corpus's audit, computed the slow way from the
+ * for_each_block list: reach from the roots, one finding per bad link
+ * or undersized block ordered by (block, link position), then the
+ * census's leak lines, capped as HeapGc caps them.
+ */
+ProbeExpect
+probe_oracle(NvHeap& h)
+{
+    const Oracle o(h);
+    const PersistentHeap& heap = o.heap;
+    const auto hex = [](uint64_t v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "0x%llx", (unsigned long long)v);
+        return std::string(buf);
+    };
+    const auto count = [&](const Oracle::Blk& b) {
+        return *heap.resolve<uint64_t>(b.raw);
+    };
+    const auto slot = [&](const Oracle::Blk& b, uint64_t k) {
+        return *heap.resolve<uint64_t>(b.raw + 8 + 8 * k);
+    };
+    const auto traced = [](const Oracle::Blk& b) {
+        return Oracle::live(b) && b.size >= 32;
+    };
+    std::vector<uint64_t> queries;
+    for (const auto& [root, off] : RootRegistry::block_roots(heap))
+        queries.push_back(off);
+    for (const Oracle::Blk& b : o.blocks)
+        if (traced(b))
+            for (uint64_t k = 0; k < count(b); ++k)
+                if (slot(b, k) != 0 && slot(b, k) != kOutsideField)
+                    queries.push_back(slot(b, k));
+    const std::map<uint64_t, long> own = o.owners(queries);
+
+    struct Found
+    {
+        uint64_t src, seq;
+        std::string text;
+    };
+    std::vector<Found> found;
+    ProbeExpect e;
+    std::vector<bool> seen(o.blocks.size(), false);
+    std::vector<size_t> work;
+    const auto reach = [&](uint64_t v, uint64_t src, uint64_t seq) {
+        const long i = own.at(v);
+        const std::string link =
+            "link gc.test_probe@" + hex(src) + " -> " + hex(v);
+        if (i < 0 || !Oracle::live(o.blocks[i])) {
+            ++e.dangling;
+            found.push_back({src, seq,
+                             link + (i < 0 ? " hits no block"
+                                           : " targets a non-LIVE block")});
+        } else if (!seen[i]) {
+            seen[i] = true;
+            work.push_back(static_cast<size_t>(i));
+        }
+    };
+    for (const auto& [root, off] : RootRegistry::block_roots(heap))
+        reach(off, 0, 0);
+    while (!work.empty()) {
+        const Oracle::Blk& b = o.blocks[work.back()];
+        work.pop_back();
+        if (!traced(b)) {
+            found.push_back({b.raw, 0,
+                             "block " + hex(b.raw) + " typed gc.test_probe"
+                                 + " is smaller than its declared payload"});
+            continue;
+        }
+        for (uint64_t k = 0; k < count(b); ++k) {
+            if (slot(b, k) == kOutsideField) {
+                ++e.dangling;
+                found.push_back({b.raw, k + 1,
+                                 "link field of " + hex(b.raw)
+                                     + " lies outside the heap"});
+            } else if (slot(b, k) != 0) {
+                reach(slot(b, k), b.raw, k + 1);
+            }
+        }
+    }
+    std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+        return a.src != b.src ? a.src < b.src : a.seq < b.seq;
+    });
+    for (const Found& f : found)
+        e.findings.push_back(f.text);
+    for (size_t i = 0; i < o.blocks.size(); ++i) {
+        const Oracle::Blk& b = o.blocks[i];
+        if (seen[i])
+            e.marked.push_back(b.raw);
+        else if (Oracle::live(b))
+            e.findings.push_back("leak: gc.test_probe block " + hex(b.raw)
+                                 + " (" + std::to_string(b.size)
+                                 + "B) is LIVE but unreachable");
+    }
+    if (e.findings.size() > HeapGc::kMaxFindings) {
+        e.findings.resize(HeapGc::kMaxFindings);
+        e.findings.push_back("... (further findings elided)");
+    }
+    return e;
+}
+
+/**
+ * A hub (the root) whose table links `children` probes, then a tail
+ * of 128 fields.  Bad links -- hitting no block, hitting a freed
+ * block, lying outside the heap, and reaching an undersized probe --
+ * sit at the resolver's batch boundaries, kinds rotating:
+ *  - hub fields children + 63/64/65 (one table batch ends, the next
+ *    begins);
+ *  - fields 63/64/65 of every 64th child, whose 70 fields are traced
+ *    in batches of their own;
+ *  - all three fields of the 3-field children at frontier positions
+ *    1, 22 and 63 of each 64-block batch: position 63 ends a claimed
+ *    batch, and the links of child 22 are links 63/64/65 of the lane
+ *    buffer its batch loads after child 0's table.
+ * Good fields link leaves and other children (already-marked hits).
+ * Every block precedes, in address order, the blocks linking it, so
+ * the capped findings start at the first children.  Checks the audit
+ * against probe_oracle, and that ten audits render identically.
+ */
+void
+check_probe_corpus(uint64_t children)
+{
+    register_probe_type();
+    PersistentHeap heap({.size = 32u << 20});
+    RealDomain dom;
+    NvHeap h(heap, dom);
+    std::vector<uint64_t> leaves, doomed;
+    for (int i = 0; i < 64; ++i) {
+        leaves.push_back(alloc_fan(h, heap, dom, 3));
+        doomed.push_back(alloc_fan(h, heap, dom, 3));
+    }
+    uint64_t planted = 0;
+    const auto bad = [&](uint64_t kind) -> uint64_t {
+        ++planted;
+        switch (kind % 4) {
+        case 0:
+            return leaves[planted % 64] - 8; // a header word
+        case 1:
+            return doomed[planted % 64];
+        case 2:
+            return kOutsideField;
+        default:
+            return alloc_fan(h, heap, dom, 1); // 16 bytes: undersized
+        }
+    };
+    std::vector<uint64_t> kids;
+    std::vector<std::vector<uint64_t>> kid_links;
+    for (uint64_t i = 0; i < children; ++i) {
+        const uint64_t pos = i % 64;
+        const uint64_t n = pos == 0 ? 70 : 3;
+        std::vector<uint64_t> links(n);
+        for (uint64_t k = 0; k < n; ++k) {
+            const bool boundary = n == 70
+                                      ? k >= 63 && k <= 65
+                                      : pos == 1 || pos == 22 || pos == 63;
+            links[k] = boundary ? bad(i + k) : 0;
+        }
+        kids.push_back(alloc_fan(h, heap, dom, n));
+        kid_links.push_back(std::move(links));
+    }
+    for (uint64_t i = 0; i < children; ++i) {
+        std::vector<uint64_t>& links = kid_links[i];
+        for (uint64_t k = 0; k < links.size(); ++k) {
+            if (links[k] == 0)
+                links[k] = k % 2 == 0 ? leaves[(i + k) % 64]
+                                      : kids[(i * 7 + k) % children];
+        }
+        dom.store(heap.resolve<void>(kids[i] + 8), links.data(),
+                  8 * links.size());
+    }
+    const uint64_t hub = alloc_fan(h, heap, dom, children + 128);
+    std::vector<uint64_t> table(children + 128, 0);
+    for (uint64_t i = 0; i < children; ++i)
+        table[i] = kids[i];
+    for (uint64_t k = 63; k <= 65; ++k)
+        table[children + k] = bad(k);
+    dom.store(heap.resolve<void>(hub + 8), table.data(), 8 * table.size());
+    dom.flush(heap.resolve<void>(heap.arena_begin()),
+              heap.size() - heap.arena_begin());
+    dom.fence();
+    RootRegistry::set_ref(heap, RootSlot::kUser0, hub, dom);
+    for (const uint64_t d : doomed)
+        h.free_block(d, dom);
+    h.flush_transient_caches(dom);
+
+    HeapGc gc(h, dom);
+    const GcStats first = gc.audit();
+    const ProbeExpect want = probe_oracle(h);
+    ASSERT_GT(want.dangling, children / 16);
+    ASSERT_EQ(want.findings.size(), HeapGc::kMaxFindings + 1);
+    // The reported (lowest) findings hold every kind of bad link.
+    for (const char* kind : {"hits no block", "targets a non-LIVE block",
+                             "lies outside the heap",
+                             "smaller than its declared payload"})
+        EXPECT_TRUE(std::any_of(want.findings.begin(), want.findings.end(),
+                                [&](const std::string& f) {
+                                    return f.find(kind) != std::string::npos;
+                                }))
+            << kind;
+    EXPECT_EQ(first.dangling_links, want.dangling);
+    EXPECT_EQ(first.findings, want.findings);
+    EXPECT_EQ(gc.marked_blocks(), want.marked);
+    EXPECT_EQ(first.leaked_blocks, first.live_blocks - want.marked.size());
+    const std::string json = census_json(first);
+    for (int run = 0; run < 10; ++run)
+        ASSERT_EQ(census_json(HeapGc(h, dom).audit()), json) << "run " << run;
+}
+
+TEST(HeapGcResolver, BatchBoundariesInASerialLevel)
+{
+    check_probe_corpus(256);
+}
+
+TEST(HeapGcResolver, BatchBoundariesInAParallelLevelAndAWideTable)
+{
+    // The hub's table is wide enough to be split over every lane, and
+    // the children form a level traced in parallel.
+    constexpr uint64_t kChildren = HeapGc::kParallelFrontier + 256;
+    static_assert(kChildren % 64 == 0);
+    check_probe_corpus(kChildren);
 }
 
 // --------------------------------------------------------------------------

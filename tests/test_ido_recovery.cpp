@@ -12,7 +12,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "ds/fase_ids.h"
 #include "ds/queue.h"
@@ -310,6 +312,23 @@ TEST(IdoRecovery, TimelineReportsTheAttachTimeLeakReclaim)
     EXPECT_NE(j.find("\"walked_blocks\":", phase), std::string::npos) << j;
     // The heap-gc phase carries the audit's index/mark/census split.
     EXPECT_NE(j.find("\"mark_ns\""), std::string::npos) << j;
+    // Wall time covers every phase, the attach-time pass included
+    // (it ran in the NvHeap constructor, before recover() began).
+    const auto numbers_after = [&j](const std::string& key) {
+        std::vector<uint64_t> out;
+        for (size_t at = j.find(key); at != std::string::npos;
+             at = j.find(key, at + 1))
+            out.push_back(std::stoull(j.substr(at + key.size())));
+        return out;
+    };
+    const std::vector<uint64_t> wall = numbers_after("\"wall_ns\":");
+    const std::vector<uint64_t> durs = numbers_after("\"dur_ns\":");
+    ASSERT_EQ(wall.size(), 1u) << j;
+    ASSERT_GE(durs.size(), 3u) << j;
+    uint64_t phases_ns = 0;
+    for (const uint64_t d : durs)
+        phases_ns += d;
+    EXPECT_GE(wall[0], phases_ns) << j;
 
     // The record is handed over once: a second recovery on the same
     // attach reclaims afresh and finds the heap already clean.
