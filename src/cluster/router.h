@@ -4,10 +4,10 @@
  * across N ido-serve nodes through the shared consistent-hash ring.
  *
  * Clients speak plain memcached to the router and never learn the
- * topology.  The router reuses the server-side machinery: the same
- * epoll EventLoop, the same incremental MemcParser per client, and the
- * same per-connection reorder buffer so replies release strictly in
- * request order even when a pipeline fans out across nodes.
+ * topology.  The client face is the server's own net::MemcFrontend
+ * (accept, parser, per-connection reorder buffer), so replies release
+ * strictly in request order even when a pipeline fans out across
+ * nodes; upstream replies are framed by net::MemcReplyParser.
  *
  * Pipelining is preserved per upstream: requests routed to one node
  * are appended to that node's connection back-to-back without waiting
@@ -36,15 +36,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_client.h" // NodeAddr
 #include "cluster/hash_ring.h"
 #include "net/event_loop.h"
+#include "net/frontend.h"
 #include "net/memc_protocol.h"
 
 namespace ido::cluster {
@@ -75,7 +73,7 @@ class Router
     Router(const Router&) = delete;
     Router& operator=(const Router&) = delete;
 
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return frontend_.port(); }
 
     /** Serve until stop().  Owns the calling thread. */
     void run();
@@ -84,20 +82,6 @@ class Router
     void stop();
 
   private:
-    struct Conn
-    {
-        int fd = -1;
-        uint64_t id = 0;
-        net::MemcParser parser;
-        std::string out;
-        uint64_t next_seq = 0;     ///< per-request arrival number
-        uint64_t next_release = 0; ///< next seq allowed to leave
-        std::map<uint64_t, std::string> reorder;
-        uint64_t inflight = 0; ///< requests at upstreams or held
-        bool closing = false;
-        bool want_write = false;
-    };
-
     /** One request owed a reply by an upstream (FIFO per upstream). */
     struct PendingOp
     {
@@ -124,26 +108,13 @@ class Router
         int fd = -1;
         UpState state = UpState::kDown;
         std::string out;   ///< bytes not yet written to the node
-        std::string in;    ///< reply bytes not yet matched
+        net::MemcReplyParser in; ///< reply bytes not yet matched
         std::deque<PendingOp> pending; ///< awaiting replies, FIFO
         std::deque<HeldOp> hold;       ///< parked while down
         uint32_t backoff_ms = 0;
         uint64_t next_attempt_ns = 0;
         bool want_write = false;
     };
-
-    // client side
-    void on_accept(uint32_t events);
-    void on_conn_event(uint64_t conn_id, uint32_t events);
-    void read_conn(Conn& c);
-    void route_request(Conn& c, net::MemcRequest&& rq);
-    void local_reply(Conn& c, uint64_t seq, std::string data);
-    void deliver(uint64_t conn_id, uint64_t seq, std::string data);
-    void release_ready(Conn& c);
-    void flush_out(Conn& c);
-    void close_conn(Conn& c);
-    void reap_defunct();
-    std::string stats_reply();
 
     // upstream side
     void start_connect(uint32_t node);
@@ -152,11 +123,11 @@ class Router
     void upstream_down(uint32_t node);
     void flush_upstream(Upstream& u);
     void read_upstream(uint32_t node);
-    /** Try to peel one complete reply for `op` off the front of buf. */
-    static bool extract_reply(std::string& buf, net::MemcOp op,
-                              std::string* reply);
-    void forward(uint32_t node, uint64_t conn_id, uint64_t seq,
+    /** The front-end's submit: route one client request to its node. */
+    void forward(uint64_t conn_id, uint64_t seq,
                  const net::MemcRequest& rq);
+    /** The front-end's burst end: write queued requests upstream. */
+    void flush_upstreams();
     void replay_held(uint32_t node);
 
     // timer sweep: reconnect attempts + hold-deadline expiry
@@ -165,19 +136,11 @@ class Router
     RouterConfig cfg_;
     ConsistentHashRing ring_;
     net::EventLoop loop_;
-    int listen_fd_ = -1;
+    net::MemcFrontend frontend_;
     int timer_fd_ = -1;
-    uint16_t port_ = 0;
-
-    uint64_t next_conn_id_ = 1;
-    std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-    /// Conns closed while stack frames may still reference them; the
-    /// entries are erased from conns_ only at the timer sweep, never
-    /// from inside a call chain holding a Conn& (use-after-free).
-    std::vector<uint64_t> defunct_;
     std::vector<Upstream> upstreams_;
 
-    // cluster.router.* instruments (stats_reply / admin scrape)
+    // cluster.router.* instruments (`stats` / admin scrape)
     std::atomic<uint64_t>* forwarded_ = nullptr;
     std::atomic<uint64_t>* held_ = nullptr;
     std::atomic<uint64_t>* replayed_ = nullptr;

@@ -41,25 +41,7 @@ http_response(int code, const char* reason,
 
 AdminEndpoint::AdminEndpoint(uint16_t port)
 {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    IDO_ASSERT(listen_fd_ >= 0, "admin socket() failed");
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    int rc = ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    sizeof addr);
-    IDO_ASSERT(rc == 0, "admin bind() failed (port in use?)");
-    rc = ::listen(listen_fd_, 16);
-    IDO_ASSERT(rc == 0, "admin listen() failed");
-    socklen_t alen = sizeof addr;
-    rc = ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                       &alen);
-    IDO_ASSERT(rc == 0, "admin getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-    set_nonblocking(listen_fd_);
+    listen_fd_ = listen_loopback(port, 16, "admin", &port_);
 }
 
 AdminEndpoint::~AdminEndpoint()

@@ -1,8 +1,10 @@
 #include "net/event_loop.h"
 
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -19,6 +21,31 @@ set_nonblocking(int fd)
     IDO_ASSERT(flags >= 0, "fcntl(F_GETFL) failed");
     int rc = ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     IDO_ASSERT(rc == 0, "fcntl(F_SETFL) failed");
+}
+
+int
+listen_loopback(uint16_t port, int backlog, const char* what,
+                uint16_t* bound)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    IDO_ASSERT(fd >= 0, "%s: socket() failed", what);
+    int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    int rc = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+    IDO_ASSERT(rc == 0, "%s: bind() failed (port %u in use?)", what,
+               static_cast<unsigned>(port));
+    rc = ::listen(fd, backlog);
+    IDO_ASSERT(rc == 0, "%s: listen() failed", what);
+    socklen_t alen = sizeof addr;
+    rc = ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &alen);
+    IDO_ASSERT(rc == 0, "%s: getsockname() failed", what);
+    *bound = ntohs(addr.sin_port);
+    set_nonblocking(fd);
+    return fd;
 }
 
 EventLoop::EventLoop()

@@ -26,6 +26,14 @@ namespace ido::net {
 /** Put fd in O_NONBLOCK mode; panics if fcntl fails. */
 void set_nonblocking(int fd);
 
+/**
+ * Nonblocking TCP listener on 127.0.0.1:`port` (0 = kernel-assigned)
+ * with SO_REUSEADDR; panics naming `what` if the port is taken.
+ * @return the listening fd; *bound receives the port actually bound.
+ */
+int listen_loopback(uint16_t port, int backlog, const char* what,
+                    uint16_t* bound);
+
 class EventLoop
 {
   public:

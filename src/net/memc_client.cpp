@@ -10,9 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <thread>
 
 namespace ido::net {
@@ -24,23 +21,13 @@ namespace {
 constexpr int kReadTimeoutMs = 5000;
 
 std::string
-format_set(const std::string& key, uint64_t value)
+wire(MemcOp op, const std::string& key, uint64_t value = 0)
 {
-    char data[32];
-    int dlen = std::snprintf(data, sizeof data, "%" PRIu64, value);
-    char head[320];
-    int hlen = std::snprintf(head, sizeof head, "set %s 0 0 %d\r\n",
-                             key.c_str(), dlen);
-    std::string out(head, static_cast<size_t>(hlen));
-    out.append(data, static_cast<size_t>(dlen));
-    out += "\r\n";
-    return out;
-}
-
-bool
-is_server_error_line(const std::string& line)
-{
-    return line.rfind("SERVER_ERROR", 0) == 0;
+    MemcRequest rq;
+    rq.op = op;
+    rq.key = key;
+    rq.value = value;
+    return memc_wire_request(rq);
 }
 
 } // namespace
@@ -102,7 +89,7 @@ MemcClient::connect(const std::string& host, uint16_t port)
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     fd_ = fd;
-    inbuf_.clear();
+    replies_.reset();
     last_error_ = ClientError::kNone;
     return true;
 }
@@ -128,7 +115,7 @@ MemcClient::close()
         ::close(fd_);
         fd_ = -1;
     }
-    inbuf_.clear();
+    replies_.reset();
     pipeline_.clear();
     pipeline_kinds_.clear();
 }
@@ -151,18 +138,11 @@ MemcClient::send_all(const char* data, size_t n)
 }
 
 bool
-MemcClient::read_line(std::string* out)
+MemcClient::read_reply(MemcOp op, MemcReply* out)
 {
-    for (;;) {
-        const size_t nl = inbuf_.find('\n');
-        if (nl != std::string::npos) {
-            size_t len = nl;
-            if (len > 0 && inbuf_[len - 1] == '\r')
-                --len;
-            out->assign(inbuf_, 0, len);
-            inbuf_.erase(0, nl + 1);
-            return true;
-        }
+    while (!replies_.next(op, out)) {
+        if (replies_.bad())
+            return fail(ClientError::kProtocol);
         struct pollfd pfd = {fd_, POLLIN, 0};
         int pr = ::poll(&pfd, 1, kReadTimeoutMs);
         if (pr == 0)
@@ -172,111 +152,75 @@ MemcClient::read_line(std::string* out)
         char buf[8192];
         ssize_t n = ::read(fd_, buf, sizeof buf);
         if (n > 0) {
-            inbuf_.append(buf, static_cast<size_t>(n));
+            replies_.feed(buf, static_cast<size_t>(n));
             continue;
         }
         if (n < 0 && errno == EINTR)
             continue;
         return fail(ClientError::kDisconnected); // EOF or hard error
     }
+    return true;
+}
+
+bool
+MemcClient::refused(const MemcReply& r)
+{
+    if (r.kind == MemcReplyKind::kServerError)
+        fail(ClientError::kServerError);
+    else if (r.kind == MemcReplyKind::kError)
+        fail(ClientError::kProtocol); // the peer could not parse us
+    else
+        return false;
+    return true;
+}
+
+bool
+MemcClient::call(MemcOp op, const std::string& request, MemcReply* out)
+{
+    if (fd_ < 0)
+        return fail(ClientError::kNotConnected);
+    if (!send_all(request.data(), request.size()) || !read_reply(op, out) ||
+        refused(*out))
+        return false;
+    last_error_ = ClientError::kNone;
+    return true;
 }
 
 bool
 MemcClient::set(const std::string& key, uint64_t value)
 {
-    if (fd_ < 0)
-        return fail(ClientError::kNotConnected);
-    const std::string wire = format_set(key, value);
-    if (!send_all(wire.data(), wire.size()))
-        return false;
-    std::string line;
-    if (!read_line(&line))
-        return false;
-    if (line == "STORED") {
-        last_error_ = ClientError::kNone;
-        return true;
-    }
-    return fail(is_server_error_line(line) ? ClientError::kServerError
-                                           : ClientError::kProtocol);
+    MemcReply r;
+    return call(MemcOp::kSet, wire(MemcOp::kSet, key, value), &r);
 }
 
 bool
 MemcClient::get(const std::string& key, uint64_t* value)
 {
-    if (fd_ < 0)
-        return fail(ClientError::kNotConnected);
-    const std::string wire = "get " + key + "\r\n";
-    if (!send_all(wire.data(), wire.size()))
+    MemcReply r;
+    // A miss (END) is an answer, not a failure: false with kNone.
+    if (!call(MemcOp::kGet, wire(MemcOp::kGet, key), &r) ||
+        r.kind != MemcReplyKind::kValue)
         return false;
-    std::string line;
-    if (!read_line(&line))
-        return false;
-    if (line == "END") { // miss: an answer, not a failure
-        last_error_ = ClientError::kNone;
-        return false;
-    }
-    if (line.rfind("VALUE ", 0) != 0)
-        return fail(is_server_error_line(line)
-                        ? ClientError::kServerError
-                        : ClientError::kProtocol);
-    std::string data;
-    if (!read_line(&data))
-        return false;
-    uint64_t v = 0;
-    for (char ch : data) {
-        if (ch < '0' || ch > '9')
-            return fail(ClientError::kProtocol);
-        v = v * 10 + static_cast<uint64_t>(ch - '0');
-    }
-    std::string end;
-    if (!read_line(&end))
-        return false;
-    if (end != "END")
-        return fail(ClientError::kProtocol);
     if (value)
-        *value = v;
-    last_error_ = ClientError::kNone;
+        *value = r.value;
     return true;
 }
 
 bool
 MemcClient::del(const std::string& key)
 {
-    if (fd_ < 0)
-        return fail(ClientError::kNotConnected);
-    const std::string wire = "delete " + key + "\r\n";
-    if (!send_all(wire.data(), wire.size()))
-        return false;
-    std::string line;
-    if (!read_line(&line))
-        return false;
-    if (line == "DELETED") {
-        last_error_ = ClientError::kNone;
-        return true;
-    }
-    if (line == "NOT_FOUND") { // an answer, not a failure
-        last_error_ = ClientError::kNone;
-        return false;
-    }
-    return fail(is_server_error_line(line) ? ClientError::kServerError
-                                           : ClientError::kProtocol);
+    MemcReply r;
+    // NOT_FOUND is an answer, not a failure: false with kNone.
+    return call(MemcOp::kDelete, wire(MemcOp::kDelete, key), &r) &&
+           r.kind == MemcReplyKind::kDeleted;
 }
 
 std::string
 MemcClient::version()
 {
-    if (fd_ < 0) {
-        fail(ClientError::kNotConnected);
-        return std::string();
-    }
-    const char wire[] = "version\r\n";
-    if (!send_all(wire, sizeof wire - 1))
-        return std::string();
-    std::string line;
-    if (!read_line(&line))
-        return std::string();
-    last_error_ = ClientError::kNone;
-    return line;
+    MemcReply r;
+    return call(MemcOp::kVersion, "version\r\n", &r) ? r.line
+                                                      : std::string();
 }
 
 bool
@@ -284,54 +228,39 @@ MemcClient::stats(std::map<std::string, std::string>* out)
 {
     if (out)
         out->clear();
-    if (fd_ < 0)
-        return fail(ClientError::kNotConnected);
-    const char wire[] = "stats\r\n";
-    if (!send_all(wire, sizeof wire - 1))
+    MemcReply r;
+    if (!call(MemcOp::kStats, "stats\r\n", &r))
         return false;
-    for (;;) {
-        std::string line;
-        if (!read_line(&line))
-            return false;
-        if (line == "END") {
-            last_error_ = ClientError::kNone;
-            return true;
-        }
-        if (line.rfind("STAT ", 0) != 0)
-            return fail(ClientError::kProtocol);
-        const size_t sp = line.find(' ', 5);
-        if (sp == std::string::npos)
-            return fail(ClientError::kProtocol);
-        if (out)
-            (*out)[line.substr(5, sp - 5)] = line.substr(sp + 1);
-    }
+    if (out)
+        *out = std::move(r.stats);
+    return true;
 }
 
 void
 MemcClient::pipeline_set(const std::string& key, uint64_t value)
 {
-    pipeline_ += format_set(key, value);
-    pipeline_kinds_.push_back(0);
+    pipeline_ += wire(MemcOp::kSet, key, value);
+    pipeline_kinds_.push_back(MemcOp::kSet);
 }
 
 void
 MemcClient::pipeline_get(const std::string& key)
 {
-    pipeline_ += "get " + key + "\r\n";
-    pipeline_kinds_.push_back(1);
+    pipeline_ += wire(MemcOp::kGet, key);
+    pipeline_kinds_.push_back(MemcOp::kGet);
 }
 
 void
 MemcClient::pipeline_del(const std::string& key)
 {
-    pipeline_ += "delete " + key + "\r\n";
-    pipeline_kinds_.push_back(2);
+    pipeline_ += wire(MemcOp::kDelete, key);
+    pipeline_kinds_.push_back(MemcOp::kDelete);
 }
 
 size_t
 MemcClient::pipeline_flush(size_t max_acks)
 {
-    const std::vector<uint8_t> kinds = std::move(pipeline_kinds_);
+    const std::vector<MemcOp> kinds = std::move(pipeline_kinds_);
     pipeline_kinds_.clear();
     const size_t expected = std::min(kinds.size(), max_acks);
     if (fd_ < 0) {
@@ -344,45 +273,13 @@ MemcClient::pipeline_flush(size_t max_acks)
     last_error_ = ClientError::kNone;
     size_t acks = 0;
     // Count acks even after a send failure: the server may have
-    // executed (and durably committed) a prefix before dying.
+    // executed (and durably committed) a prefix before dying.  Every
+    // non-error reply acks: a get's hit or miss, a delete's DELETED or
+    // NOT_FOUND (both are durable outcomes).
+    MemcReply r;
     while (acks < expected) {
-        std::string line;
-        if (!read_line(&line))
-            break; // read_line set kDisconnected/kTimeout
-        if (kinds[acks] == 0) {
-            if (line != "STORED") {
-                fail(is_server_error_line(line)
-                         ? ClientError::kServerError
-                         : ClientError::kProtocol);
-                break;
-            }
-        } else if (kinds[acks] == 2) {
-            // delete: either answer is a durable ack of the outcome.
-            if (line != "DELETED" && line != "NOT_FOUND") {
-                fail(is_server_error_line(line)
-                         ? ClientError::kServerError
-                         : ClientError::kProtocol);
-                break;
-            }
-        } else {
-            // get: zero or one VALUE+data line pair, then END.
-            bool ok = true;
-            while (line.rfind("VALUE ", 0) == 0) {
-                std::string data;
-                if (!read_line(&data) || !read_line(&line)) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (!ok)
-                break;
-            if (line != "END") {
-                fail(is_server_error_line(line)
-                         ? ClientError::kServerError
-                         : ClientError::kProtocol);
-                break;
-            }
-        }
+        if (!read_reply(kinds[acks], &r) || refused(r))
+            break; // last_error_ says why
         ++acks;
     }
     if (!sent && last_error_ == ClientError::kNone)

@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "net/memc_protocol.h"
+
 namespace ido::net {
 
 /**
@@ -126,15 +128,22 @@ class MemcClient
 
   private:
     bool send_all(const char* data, size_t n);
-    /** Read until `out` contains a full line; false on EOF/timeout. */
-    bool read_line(std::string* out);
+    /** Read until the reply to `op` is complete; false on EOF/timeout
+     *  or a reply the op does not allow (kProtocol). */
+    bool read_reply(MemcOp op, MemcReply* out);
+    /**
+     * Send `request` and read its reply.  True iff the peer answered
+     * with one of the op's non-error replies (last_error() is kNone).
+     */
+    bool call(MemcOp op, const std::string& request, MemcReply* out);
+    /** True (recording why) iff `r` is SERVER_ERROR / ERROR. */
+    bool refused(const MemcReply& r);
     bool fail(ClientError e);
 
     int fd_ = -1;
-    std::string inbuf_;    ///< bytes read past the last parsed line
-    std::string pipeline_; ///< queued wire bytes
-    /// Queued ops (0=set, 1=get, 2=delete).
-    std::vector<uint8_t> pipeline_kinds_;
+    MemcReplyParser replies_; ///< bytes read past the last reply
+    std::string pipeline_;    ///< queued wire bytes
+    std::vector<MemcOp> pipeline_kinds_; ///< queued ops, in order
     ClientError last_error_ = ClientError::kNone;
 };
 

@@ -35,7 +35,7 @@ tokenize(const char* line, size_t len)
 }
 
 bool
-parse_u64(const std::string& s, uint64_t* out)
+parse_u64(std::string_view s, uint64_t* out)
 {
     if (s.empty() || s.size() > 20)
         return false;
@@ -210,6 +210,142 @@ MemcParser::parse_line(const char* line, size_t len)
         return;
     }
     ready_.push_back(make_error("ERROR\r\n"));
+}
+
+void
+MemcReplyParser::feed(const char* data, size_t n)
+{
+    // Returned frames are dropped here rather than in next(): callers
+    // take every whole frame before reading again, so what is left is
+    // one partial frame and the erase stays cheap.
+    buf_.erase(0, head_);
+    head_ = 0;
+    buf_.append(data, n);
+}
+
+void
+MemcReplyParser::reset()
+{
+    buf_.clear();
+    head_ = 0;
+    bad_ = false;
+}
+
+bool
+MemcReplyParser::next(MemcOp op, MemcReply* out)
+{
+    size_t pos = head_;
+    std::string_view line;
+    if (bad_ || !take_line(&pos, &line) || !take_body(op, line, &pos, out))
+        return false;
+    out->wire.assign(buf_, head_, pos - head_);
+    head_ = pos;
+    return true;
+}
+
+bool
+MemcReplyParser::take_line(size_t* pos, std::string_view* line)
+{
+    const size_t nl = buf_.find('\n', *pos);
+    const size_t len = (nl == std::string::npos ? buf_.size() : nl) - *pos;
+    if (len > kMaxLineLen + 1) { // +1: the CR
+        bad_ = true;
+        return false;
+    }
+    if (nl == std::string::npos)
+        return false;
+    *line = std::string_view(buf_).substr(*pos, len);
+    if (!line->empty() && line->back() == '\r')
+        line->remove_suffix(1);
+    *pos = nl + 1;
+    return true;
+}
+
+bool
+MemcReplyParser::take_body(MemcOp op, std::string_view line, size_t* pos,
+                           MemcReply* out)
+{
+    const auto is = [out](MemcReplyKind k) {
+        out->kind = k;
+        return true;
+    };
+    out->line.clear();
+    out->flags = 0;
+    out->value = 0;
+    out->stats.clear();
+    if (line == "ERROR" || line.starts_with("CLIENT_ERROR ")) {
+        out->line = line;
+        return is(MemcReplyKind::kError);
+    }
+    if (line.starts_with("SERVER_ERROR")) {
+        out->line = line;
+        return is(MemcReplyKind::kServerError);
+    }
+    switch (op) {
+    case MemcOp::kSet:
+        if (line == "STORED")
+            return is(MemcReplyKind::kStored);
+        break;
+    case MemcOp::kDelete:
+        if (line == "DELETED")
+            return is(MemcReplyKind::kDeleted);
+        if (line == "NOT_FOUND")
+            return is(MemcReplyKind::kNotFound);
+        break;
+    case MemcOp::kVersion:
+        if (line.starts_with("VERSION ")) {
+            out->line = line;
+            return is(MemcReplyKind::kVersion);
+        }
+        break;
+    case MemcOp::kGet: {
+        if (line == "END")
+            return is(MemcReplyKind::kEnd);
+        if (!line.starts_with("VALUE "))
+            break;
+        // VALUE <key> <flags> <bytes>: keys hold no spaces (MemcParser
+        // tokenizes on them), so the counts are the last two tokens.
+        const size_t b = line.rfind(' ');
+        const size_t f = line.rfind(' ', b - 1);
+        uint64_t flags = 0, bytes = 0, value = 0;
+        if (f == std::string_view::npos || f < 7 ||
+            !parse_u64(line.substr(f + 1, b - f - 1), &flags) ||
+            flags > UINT32_MAX || !parse_u64(line.substr(b + 1), &bytes) ||
+            bytes > kMaxDataLen)
+            break;
+        if (buf_.size() - *pos < bytes + 2)
+            return false;
+        const char* data = buf_.data() + *pos;
+        if (data[bytes] != '\r' || data[bytes + 1] != '\n' ||
+            !parse_u64(std::string_view(data, bytes), &value))
+            break; // the block disagrees with its byte count
+        *pos += bytes + 2;
+        if (!take_line(pos, &line))
+            return false;
+        if (line != "END")
+            break;
+        out->flags = static_cast<uint32_t>(flags);
+        out->value = value;
+        return is(MemcReplyKind::kValue);
+    }
+    case MemcOp::kStats:
+        while (line.starts_with("STAT ")) {
+            const size_t sp = line.find(' ', 5);
+            if (sp == std::string_view::npos)
+                break;
+            out->stats[std::string(line.substr(5, sp - 5))] =
+                std::string(line.substr(sp + 1));
+            if (!take_line(pos, &line))
+                return false;
+        }
+        if (line == "END")
+            return is(MemcReplyKind::kStats);
+        break;
+    default:
+        break;
+    }
+    bad_ = true;
+    return false;
 }
 
 std::string

@@ -24,7 +24,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace ido::net {
@@ -76,6 +78,70 @@ class MemcParser
     size_t data_bytes_ = 0;
     State state_ = State::kCommand;
     bool poisoned_ = false;
+};
+
+// --- reply decoding (client side: MemcClient, the router's upstreams) ---
+
+enum class MemcReplyKind : uint8_t
+{
+    kStored,      ///< STORED
+    kValue,       ///< VALUE <key> <flags> <bytes>, data block, END: get hit
+    kEnd,         ///< END: get miss
+    kDeleted,     ///< DELETED
+    kNotFound,    ///< NOT_FOUND
+    kVersion,     ///< VERSION <text>
+    kStats,       ///< STAT <key> <value> lines, then END
+    kServerError, ///< SERVER_ERROR <text>: the peer failed the request
+    kError,       ///< ERROR / CLIENT_ERROR <text>: the peer rejected it
+};
+
+struct MemcReply
+{
+    MemcReplyKind kind = MemcReplyKind::kError;
+    std::string wire;   ///< the frame's exact bytes (what a proxy relays)
+    std::string line;   ///< kVersion and the error kinds: first line, no EOL
+    uint32_t flags = 0; ///< kValue
+    uint64_t value = 0; ///< kValue: the decimal u64 data block
+    std::map<std::string, std::string> stats; ///< kStats
+};
+
+/**
+ * Incremental reply decoder, the twin of MemcParser.  The text protocol
+ * carries no request ids, so a reply's grammar depends on the request
+ * it answers: next() takes that request's op.  A VALUE data block is
+ * framed by its header's byte count, never by searching for a line end.
+ * The error kinds are allowed after every op and keep framing; any
+ * other line the op does not allow, a data block that disagrees with
+ * its header, or an overlong line makes the stream bad(): framing is
+ * lost and the connection must be dropped.
+ */
+class MemcReplyParser
+{
+  public:
+    /** Consume n bytes from the peer (any chunking). */
+    void feed(const char* data, size_t n);
+
+    /** Pop the complete reply to `op`; false if incomplete or bad(). */
+    bool next(MemcOp op, MemcReply* out);
+
+    bool bad() const { return bad_; }
+
+    /** Bytes received but not yet returned in a frame. */
+    size_t buffered_bytes() const { return buf_.size() - head_; }
+
+    /** Forget everything (new connection). */
+    void reset();
+
+  private:
+    /** Line starting at *pos, EOL excluded; advances *pos past it. */
+    bool take_line(size_t* pos, std::string_view* line);
+    /** The rest of a frame whose first line is `line`; see next(). */
+    bool take_body(MemcOp op, std::string_view line, size_t* pos,
+                   MemcReply* out);
+
+    std::string buf_;
+    size_t head_ = 0; ///< start of the first unreturned frame
+    bool bad_ = false;
 };
 
 // --- reply formatting (exact memcached framing) ------------------------

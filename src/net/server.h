@@ -4,16 +4,17 @@
  * memcached_mini running under the iDO FASE runtime.
  *
  * Threading model:
- *  - one EventLoop thread owns all sockets (accept, parse, reply);
+ *  - one EventLoop thread owns all sockets; the MemcFrontend
+ *    (frontend.h) accepts, parses and writes replies on it;
  *  - N McShardWorker threads, one per McShard, execute FASEs.  The
  *    loop routes each request by MemcachedMini::shard_index(), so each
  *    shard's lock is thread-private -- the group-persist contract.
  *
  * Reply ordering: the memcached text protocol has no request ids, so
  * replies on a connection must go out in request order even though
- * requests fan out to different shards.  Each connection stamps
- * requests with a sequence number and holds completed replies in a
- * reorder buffer until every earlier reply has been written.
+ * requests fan out to different shards.  The front-end stamps each
+ * request with a per-connection sequence number and holds completed
+ * replies in a reorder buffer until every earlier reply is written.
  *
  * Durability: a worker publishes a batch's replies only after its
  * batch-close fence (group_commit.h), so any byte a client reads
@@ -22,17 +23,15 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/admin.h"
 #include "net/event_loop.h"
+#include "net/frontend.h"
 #include "net/memc_protocol.h"
 #include "net/shard.h"
 
@@ -87,7 +86,7 @@ class Server
     Server& operator=(const Server&) = delete;
 
     /** The bound port (useful when cfg.port was 0). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return frontend_.port(); }
 
     /** Bound admin port; 0 when cfg.admin was false. */
     uint16_t admin_port() const
@@ -107,59 +106,22 @@ class Server
     uint64_t requests_served() const;
 
   private:
-    struct Conn
-    {
-        int fd = -1;
-        uint64_t id = 0;
-        MemcParser parser;
-        std::string out;          ///< bytes awaiting write
-        uint64_t next_seq = 0;    ///< next request sequence to assign
-        uint64_t next_release = 0; ///< next sequence to put on the wire
-        std::map<uint64_t, std::string> reorder; ///< done, out-of-order
-        uint64_t inflight = 0;    ///< submitted, reply not yet released
-        uint64_t served = 0;
-        size_t out_accounted = 0; ///< c.out bytes counted in pending_out_
-        bool closing = false;     ///< quit seen: close once drained
-        bool want_write = false;  ///< EPOLLOUT currently requested
-    };
-
-    void on_accept(uint32_t events);
-    void on_conn_event(uint64_t conn_id, uint32_t events);
-    void read_conn(Conn& c);
-    void route_request(Conn& c, MemcRequest&& rq);
-    void local_reply(Conn& c, uint64_t seq, std::string data);
-    void release_ready(Conn& c);
-    void flush_out(Conn& c);
-    void close_conn(Conn& c);
-    void reap_defunct();
+    void route_request(uint64_t conn_id, uint64_t seq, MemcRequest&& rq);
     void drain_completions();
-    void account_pending(Conn& c);
-    std::string stats_reply();
 
     rt::Runtime& rt_;
     ServerConfig cfg_;
     uint64_t root_off_ = 0;
-    int listen_fd_ = -1;
-    uint16_t port_ = 0;
 
     EventLoop loop_;
+    MemcFrontend frontend_;
     std::vector<std::unique_ptr<McShardWorker>> workers_;
 
     std::mutex done_mu_;
     std::vector<ShardReply> done_; ///< worker -> loop completions
 
-    std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-    /// Closed conns with nothing in flight; erased from conns_ by
-    /// reap_defunct() at the end of each loop callback, never while a
-    /// Conn& is live.
-    std::vector<uint64_t> defunct_;
-    uint64_t next_conn_id_ = 1;
-    uint64_t served_on_loop_ = 0; ///< version/quit/errors answered inline
-
-    // ido-stat: admin plane + gauges readable from the scrape side.
+    // ido-stat: admin plane readable from the scrape side.
     std::unique_ptr<AdminEndpoint> admin_;
-    std::atomic<uint64_t> conn_count_{0};
-    std::atomic<uint64_t> pending_out_{0}; ///< un-written reply bytes
 };
 
 } // namespace ido::net

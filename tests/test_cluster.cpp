@@ -25,8 +25,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -585,6 +587,79 @@ TEST(Cluster, RouterSurvivesQuitMidPipeline)
     EXPECT_EQ(read_until_eof(fd2), "");
     ::close(fd2);
     ::close(lfd);
+}
+
+/** CPU time used so far by every thread of this process. */
+uint64_t
+process_cpu_ns()
+{
+    rusage ru = {};
+    ::getrusage(RUSAGE_SELF, &ru);
+    const auto ns = [](const timeval& tv) {
+        return static_cast<uint64_t>(tv.tv_sec) * 1000000000ull +
+               static_cast<uint64_t>(tv.tv_usec) * 1000ull;
+    };
+    return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+TEST(Cluster, RouterHalfCloseWaitsWithoutSpinning)
+{
+    // Regression: a client that half-closes (shutdown(SHUT_WR)) while
+    // its reply is pending used to make the router's loop spin on the
+    // level-triggered EPOLLIN that EOF keeps raising.  The upstream is
+    // a listener that never accepts, so the get waits at the router
+    // until the listener closes and the reset fails it.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in la = {};
+    la.sin_family = AF_INET;
+    la.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&la), sizeof la), 0);
+    ASSERT_EQ(::listen(lfd, 8), 0);
+    socklen_t lalen = sizeof la;
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&la), &lalen),
+              0);
+    RouterConfig rcfg;
+    rcfg.nodes = {{"127.0.0.1", ntohs(la.sin_port)}};
+    RouterThread rt(rcfg);
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    timeval tv = {15, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    sockaddr_in a = {};
+    a.sin_family = AF_INET;
+    a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    a.sin_port = htons(rt.router.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&a), sizeof a), 0);
+    ASSERT_EQ(::write(fd, "get hc\r\n", 8), 8);
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+    const uint64_t cpu0 = process_cpu_ns();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ::close(lfd);
+    std::string got;
+    bool eof = false;
+    char buf[512];
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n <= 0) {
+            eof = n == 0;
+            break;
+        }
+        got.append(buf, static_cast<size_t>(n));
+    }
+    const uint64_t wall_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    const uint64_t cpu_ns = process_cpu_ns() - cpu0;
+    ::close(fd);
+    EXPECT_EQ(got, "SERVER_ERROR node unavailable\r\n");
+    EXPECT_TRUE(eof) << "no EOF after the reply";
+    EXPECT_LT(cpu_ns, wall_ns / 4)
+        << "cpu " << cpu_ns << " ns over a " << wall_ns << " ns wait";
 }
 
 TEST(Cluster, RouterPipelinesAcrossNodesInOrder)

@@ -24,12 +24,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +47,7 @@
 #include "ido/ido_runtime.h"
 #include "net/admin.h"
 #include "net/memc_client.h"
+#include "net/memc_protocol.h"
 #include "net/server.h"
 #include "nvm/persist_domain.h"
 #include "nvm/persistent_heap.h"
@@ -60,7 +64,7 @@ using net::MemcClient;
 struct InProcessServer
 {
     InProcessServer(uint32_t shards, uint32_t batch_limit,
-                    bool admin = false)
+                    bool admin = false, uint32_t publish_delay_ms = 0)
         : heap({.size = 64u << 20}), dom(),
           runtime(heap, dom, rt::RuntimeConfig{})
     {
@@ -71,6 +75,7 @@ struct InProcessServer
         cfg.batch_limit = batch_limit;
         cfg.nbuckets = 64;
         cfg.admin = admin;
+        cfg.publish_delay_ms = publish_delay_ms;
         server = std::make_unique<net::Server>(runtime, cfg);
         thread = std::thread([this] { server->run(); });
     }
@@ -307,6 +312,305 @@ TEST(InProcessServer_, TypedClientErrors)
     MemcClient c2;
     EXPECT_FALSE(c2.connect("127.0.0.1", 1));
     EXPECT_EQ(c2.last_error(), ClientError::kConnectFailed);
+}
+
+/** CPU time used so far by every thread of this process. */
+uint64_t
+process_cpu_ns()
+{
+    rusage ru = {};
+    ::getrusage(RUSAGE_SELF, &ru);
+    const auto ns = [](const timeval& tv) {
+        return static_cast<uint64_t>(tv.tv_sec) * 1000000000ull +
+               static_cast<uint64_t>(tv.tv_usec) * 1000ull;
+    };
+    return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+/** Blocking loopback connection with a 5 s receive timeout. */
+int
+dial_loopback(uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    timeval tv = {5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    sockaddr_in a = {};
+    a.sin_family = AF_INET;
+    a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    a.sin_port = htons(port);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&a), sizeof a), 0);
+    return fd;
+}
+
+/** Read until the peer closes; false if a read failed or timed out. */
+bool
+read_to_eof(int fd, std::string* got)
+{
+    char buf[512];
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n == 0)
+            return true;
+        if (n < 0)
+            return false;
+        got->append(buf, static_cast<size_t>(n));
+    }
+}
+
+// Regression: a client that sends a request and half-closes
+// (shutdown(SHUT_WR)) while the reply is pending used to make the loop
+// thread spin on the level-triggered EPOLLIN that EOF keeps raising,
+// burning a core until the reply went out.
+TEST(InProcessServer_, HalfCloseWaitsWithoutSpinning)
+{
+    InProcessServer s(/*shards=*/1, /*batch_limit=*/4, /*admin=*/false,
+                      /*publish_delay_ms=*/300);
+    const int fd = dial_loopback(s.server->port());
+    const char rq[] = "set hc 0 0 1\r\n7\r\n";
+    ASSERT_EQ(::write(fd, rq, sizeof rq - 1),
+              static_cast<ssize_t>(sizeof rq - 1));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    const uint64_t cpu0 = process_cpu_ns();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string got;
+    const bool eof = read_to_eof(fd, &got);
+    const uint64_t wall_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    const uint64_t cpu_ns = process_cpu_ns() - cpu0;
+    ::close(fd);
+    EXPECT_EQ(got, "STORED\r\n");
+    EXPECT_TRUE(eof) << "no EOF after the reply";
+    EXPECT_GE(wall_ns, 250000000u) << "the wait did not cover the delay";
+    EXPECT_LT(cpu_ns, wall_ns / 4)
+        << "cpu " << cpu_ns << " ns over a " << wall_ns << " ns wait";
+}
+
+// Regression: replies written to a client that already closed used
+// write(2), so the second one raised SIGPIPE and killed the process.
+TEST(InProcessServer_, ClientGoneMidRepliesLeavesServerUp)
+{
+    InProcessServer s(/*shards=*/1, /*batch_limit=*/4, /*admin=*/false,
+                      /*publish_delay_ms=*/5);
+    const int fd = dial_loopback(s.server->port());
+    std::string burst;
+    for (int i = 0; i < 200; ++i)
+        burst += "get gone\r\n";
+    ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+              static_cast<ssize_t>(burst.size()));
+    ::close(fd); // leave before the delayed replies come back
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    MemcClient c;
+    ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
+    EXPECT_TRUE(c.set("after-gone", 9));
+}
+
+// --------------------------------------------------------------------------
+// MemcReplyParser + MemcClient reply decoding
+// --------------------------------------------------------------------------
+
+using net::MemcOp;
+using net::MemcReply;
+using net::MemcReplyKind;
+using net::MemcReplyParser;
+
+struct ReplyCase
+{
+    MemcOp op;
+    std::string wire;
+    MemcReplyKind kind;
+};
+
+const std::vector<ReplyCase>&
+reply_cases()
+{
+    static const std::vector<ReplyCase> cases = {
+        {MemcOp::kSet, "STORED\r\n", MemcReplyKind::kStored},
+        {MemcOp::kGet, "VALUE some-key 7 5\r\n12345\r\nEND\r\n",
+         MemcReplyKind::kValue},
+        {MemcOp::kGet, "END\r\n", MemcReplyKind::kEnd},
+        {MemcOp::kDelete, "DELETED\r\n", MemcReplyKind::kDeleted},
+        {MemcOp::kDelete, "NOT_FOUND\r\n", MemcReplyKind::kNotFound},
+        {MemcOp::kVersion, "VERSION ido-serve 1.0\r\n",
+         MemcReplyKind::kVersion},
+        {MemcOp::kStats, "STAT a 1\r\nSTAT b.c two words\r\nEND\r\n",
+         MemcReplyKind::kStats},
+        {MemcOp::kStats, "END\r\n", MemcReplyKind::kStats},
+        {MemcOp::kGet, "SERVER_ERROR node unavailable\r\n",
+         MemcReplyKind::kServerError},
+        {MemcOp::kSet, "ERROR\r\n", MemcReplyKind::kError},
+        {MemcOp::kSet, "CLIENT_ERROR bad data chunk\r\n",
+         MemcReplyKind::kError},
+    };
+    return cases;
+}
+
+/** Every frame `ops` yields from `wire` fed in `chunk`-byte pieces. */
+std::vector<MemcReply>
+decode_chunked(const std::vector<MemcOp>& ops, const std::string& wire,
+               size_t chunk)
+{
+    MemcReplyParser p;
+    std::vector<MemcReply> out;
+    MemcReply r;
+    size_t fed = 0;
+    for (;;) {
+        while (out.size() < ops.size() && p.next(ops[out.size()], &r))
+            out.push_back(r);
+        if (fed == wire.size() || p.bad())
+            break;
+        const size_t n = std::min(chunk, wire.size() - fed);
+        p.feed(wire.data() + fed, n);
+        fed += n;
+    }
+    EXPECT_FALSE(p.bad());
+    EXPECT_EQ(p.buffered_bytes(), 0u);
+    return out;
+}
+
+void
+expect_same(const MemcReply& a, const MemcReply& b)
+{
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.wire, b.wire);
+    EXPECT_EQ(a.line, b.line);
+    EXPECT_EQ(a.flags, b.flags);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.stats, b.stats);
+}
+
+TEST(MemcReplyParser_, DecodesEveryKind)
+{
+    for (const ReplyCase& c : reply_cases()) {
+        const std::vector<MemcReply> got =
+            decode_chunked({c.op}, c.wire, c.wire.size());
+        ASSERT_EQ(got.size(), 1u) << c.wire;
+        EXPECT_EQ(got[0].kind, c.kind) << c.wire;
+        EXPECT_EQ(got[0].wire, c.wire);
+    }
+    const ReplyCase& hit = reply_cases()[1];
+    const MemcReply v = decode_chunked({hit.op}, hit.wire, 64)[0];
+    EXPECT_EQ(v.flags, 7u);
+    EXPECT_EQ(v.value, 12345u);
+    const ReplyCase& st = reply_cases()[6];
+    const MemcReply s = decode_chunked({st.op}, st.wire, 64)[0];
+    const std::map<std::string, std::string> want = {{"a", "1"},
+                                                     {"b.c", "two words"}};
+    EXPECT_EQ(s.stats, want);
+    EXPECT_EQ(decode_chunked({MemcOp::kVersion}, "VERSION x\r\n", 64)[0]
+                  .line,
+              "VERSION x");
+}
+
+TEST(MemcReplyParser_, AnyChunkingGivesIdenticalFrames)
+{
+    // Every kind back to back, fed whole, one byte at a time, and
+    // split in two at every offset.
+    std::vector<MemcOp> ops;
+    std::string wire;
+    for (const ReplyCase& c : reply_cases()) {
+        ops.push_back(c.op);
+        wire += c.wire;
+    }
+    const std::vector<MemcReply> whole = decode_chunked(ops, wire, wire.size());
+    ASSERT_EQ(whole.size(), ops.size());
+    for (size_t i = 0; i < ops.size(); ++i)
+        EXPECT_EQ(whole[i].kind, reply_cases()[i].kind) << i;
+    const auto same = [&](const std::vector<MemcReply>& got) {
+        ASSERT_EQ(got.size(), whole.size());
+        for (size_t i = 0; i < got.size(); ++i)
+            expect_same(got[i], whole[i]);
+    };
+    same(decode_chunked(ops, wire, 1));
+    for (size_t cut = 1; cut < wire.size(); ++cut) {
+        MemcReplyParser p;
+        std::vector<MemcReply> got;
+        MemcReply r;
+        p.feed(wire.data(), cut);
+        while (got.size() < ops.size() && p.next(ops[got.size()], &r))
+            got.push_back(r);
+        p.feed(wire.data() + cut, wire.size() - cut);
+        while (got.size() < ops.size() && p.next(ops[got.size()], &r))
+            got.push_back(r);
+        SCOPED_TRACE(cut);
+        same(got);
+    }
+}
+
+TEST(MemcReplyParser_, ProtocolErrors)
+{
+    const auto bad = [](MemcOp op, const std::string& wire) {
+        MemcReplyParser p;
+        MemcReply r;
+        p.feed(wire.data(), wire.size());
+        return !p.next(op, &r) && p.bad();
+    };
+    // The data block disagrees with the header's byte count, both ways.
+    EXPECT_TRUE(bad(MemcOp::kGet, "VALUE k 0 1\r\n12\r\nEND\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kGet, "VALUE k 0 4\r\n12\r\nEND\r\n"));
+    // Malformed header, non-decimal data, missing END.
+    EXPECT_TRUE(bad(MemcOp::kGet, "VALUE k 0\r\n12\r\nEND\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kGet, "VALUE k 0 2\r\nab\r\nEND\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kGet, "VALUE k 0 2\r\n12\r\nSTORED\r\n"));
+    // Lines the op does not allow.
+    EXPECT_TRUE(bad(MemcOp::kSet, "DELETED\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kGet, "STORED\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kDelete, "END\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kVersion, "STORED\r\n"));
+    EXPECT_TRUE(bad(MemcOp::kStats, "STAT a 1\r\nVALUE\r\n"));
+    // A line that can never end within the limit.
+    EXPECT_TRUE(bad(MemcOp::kSet, std::string(600, 'S')));
+    // Incomplete is not bad.
+    EXPECT_FALSE(bad(MemcOp::kGet, "VALUE k 0 5\r\n123"));
+}
+
+// A peer that answers off the grammar surfaces as kProtocol, not as a
+// miss or a disconnect.
+TEST(MemcReplyParser_, ClientReportsProtocolErrors)
+{
+    const auto answer = [](const std::string& reply, auto&& call) {
+        const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in a = {};
+        a.sin_family = AF_INET;
+        a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        EXPECT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&a), sizeof a), 0);
+        EXPECT_EQ(::listen(lfd, 1), 0);
+        socklen_t alen = sizeof a;
+        ::getsockname(lfd, reinterpret_cast<sockaddr*>(&a), &alen);
+        const uint16_t port = ntohs(a.sin_port);
+        std::thread peer([lfd, &reply] {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            char buf[256];
+            EXPECT_GT(::read(fd, buf, sizeof buf), 0); // the request
+            EXPECT_EQ(::write(fd, reply.data(), reply.size()),
+                      static_cast<ssize_t>(reply.size()));
+            // Hold the connection open until the client goes.
+            EXPECT_GE(::read(fd, buf, sizeof buf), 0);
+            ::close(fd);
+        });
+        MemcClient c;
+        EXPECT_TRUE(c.connect("127.0.0.1", port));
+        call(c);
+        const net::ClientError e = c.last_error();
+        c.close();
+        peer.join();
+        ::close(lfd);
+        return e;
+    };
+    uint64_t v = 0;
+    const auto get = [&v](MemcClient& c) { EXPECT_FALSE(c.get("k", &v)); };
+    const auto set = [](MemcClient& c) { EXPECT_FALSE(c.set("k", 1)); };
+    EXPECT_EQ(answer("VALUE k 0 1\r\n12\r\nEND\r\n", get),
+              net::ClientError::kProtocol);
+    EXPECT_EQ(answer("DELETED\r\n", set), net::ClientError::kProtocol);
+    EXPECT_EQ(answer("SERVER_ERROR out of memory\r\n", set),
+              net::ClientError::kServerError);
+    EXPECT_EQ(answer("VALUE k 3 2\r\n42\r\nEND\r\n",
+                     [&v](MemcClient& c) { EXPECT_TRUE(c.get("k", &v)); }),
+              net::ClientError::kNone);
+    EXPECT_EQ(v, 42u);
 }
 
 // --------------------------------------------------------------------------
