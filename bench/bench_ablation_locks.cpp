@@ -2,13 +2,18 @@
  * @file
  * Ablation: indirect locking (DESIGN.md Sec. 5).
  *
- * iDO's indirect lock holders let an acquire piggyback its ownership
- * record on the following boundary fence and a release pay exactly one
- * fence (Sec. III-B); JUSTDO's persistent-mutex protocol pays two
- * fences per lock operation (intention + ownership); Atlas pays one
- * ordered log append per operation plus a global sequence increment.
- * This harness isolates a lock/unlock round trip inside a minimal
- * FASE and reports time and persist events per round trip.
+ * iDO's indirect lock holders let each acquire and each release
+ * persist its ownership record (lock_array slot + bitmap bit, one
+ * cache line) with exactly one fence (Sec. III-B); JUSTDO's
+ * persistent-mutex protocol pays two fences per lock operation
+ * (intention + ownership); Atlas pays one ordered log append per
+ * operation plus a global sequence increment.  This harness isolates a
+ * lock/unlock round trip inside a minimal FASE and reports time and
+ * persist events per round trip.  Its lock region may store, so iDO's
+ * log is live at the acquire and both lock ops pay their fence; a lock
+ * taken in a store-free prefix instead defers its record to the
+ * activation fence (lazy lock records, measured by fig5's ido vs
+ * ido_eager_locks rows).
  */
 #include <benchmark/benchmark.h>
 

@@ -9,7 +9,9 @@
  * more; Mnemosyne benefits from memcached 1.2.4's coarse locking; no
  * system scales past ~8 threads.  The persist-event profile column is
  * the machine-independent evidence: iDO's fences/op sit well below
- * Atlas's and far below JUSTDO's.
+ * Atlas's and far below JUSTDO's.  The ido_eager_locks row is iDO with
+ * the paper's fence per lock operation; the ido row records the locks
+ * of a FASE's store-free prefix lazily, so its gets pay no fence.
  *
  * IDO_BENCH_TRANSPORT=socket drives the same mixes through a real
  * ido-serve instance over loopback TCP (batch=1 so the protocol under
@@ -56,28 +58,32 @@ main()
         print_header((std::string("Fig.5 memcached, ") + mix.name
                       + ", transport=" + apps::transport_name(transport))
                          .c_str());
-        std::printf("%-10s %8s %10s %9s   %s\n", "runtime", "threads",
+        std::printf("%-15s %8s %10s %9s   %s\n", "runtime", "threads",
                     "Mops/s", "transport", "persist profile");
-        // Every runtime at its stock configuration, plus the flush
-        // elision ablation of iDO (ido_noelide): CI's fence-diet gate
-        // compares the two iDO rows' flushes/op.
+        // Every runtime at its stock configuration, plus two iDO
+        // ablations: flush elision off (ido_noelide) and the paper's
+        // fence per lock operation (ido_eager_locks).  CI's fence-diet
+        // gate compares each against the ido row.
         struct RunCfg
         {
             baselines::RuntimeKind kind;
             const char* label;
             bool flush_elision;
+            bool lazy_lock_records;
         };
         std::vector<RunCfg> run_cfgs;
         for (auto kind : baselines::all_runtime_kinds())
             run_cfgs.push_back(
-                {kind, baselines::runtime_kind_name(kind), true});
+                {kind, baselines::runtime_kind_name(kind), true, true});
         run_cfgs.push_back(
-            {baselines::RuntimeKind::kIdo, "ido_noelide", false});
+            {baselines::RuntimeKind::kIdo, "ido_noelide", false, true});
+        run_cfgs.push_back({baselines::RuntimeKind::kIdo,
+                            "ido_eager_locks", true, false});
         for (const RunCfg& rc : run_cfgs) {
             const auto kind = rc.kind;
             for (uint32_t threads : thread_sweep()) {
                 BenchWorld world(kind, 512u << 20, 0, 4u << 20,
-                                 rc.flush_elision);
+                                 rc.flush_elision, rc.lazy_lock_records);
                 apps::MemcachedWorkloadConfig cfg;
                 cfg.threads = threads;
                 cfg.set_pct = mix.set_pct;
@@ -113,7 +119,7 @@ main()
                     result =
                         apps::memcached_run(*world.runtime, root, cfg);
                 }
-                std::printf("%-10s %8u %10.3f %9s   %s\n", rc.label,
+                std::printf("%-15s %8u %10.3f %9s   %s\n", rc.label,
                             threads, result.mops(),
                             apps::transport_name(transport),
                             persist_profile(result.total_ops).c_str());

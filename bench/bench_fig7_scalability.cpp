@@ -10,7 +10,12 @@
  * low-parallelism structures at low thread counts (it logs no lock
  * operations) but saturates; the hash map separates scalable (iDO)
  * from runtime-synchronization-bound (Atlas, Mnemosyne) designs.
+ * The ido_eager_locks row is iDO with the paper's fence per lock
+ * operation; the ido row records the locks of a FASE's store-free
+ * prefix lazily (RuntimeConfig::lazy_lock_records).
  */
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "ds/workload.h"
 
@@ -21,6 +26,19 @@ int
 main()
 {
     const double secs = bench_seconds();
+    // Every runtime at its stock configuration, plus iDO with the
+    // paper's fence per lock operation (ido_eager_locks).
+    struct RunCfg
+    {
+        baselines::RuntimeKind kind;
+        const char* label;
+        bool lazy_lock_records;
+    };
+    std::vector<RunCfg> run_cfgs;
+    for (auto kind : baselines::all_runtime_kinds())
+        run_cfgs.push_back({kind, baselines::runtime_kind_name(kind), true});
+    run_cfgs.push_back(
+        {baselines::RuntimeKind::kIdo, "ido_eager_locks", false});
     const ds::DsKind structures[] = {
         ds::DsKind::kStack, ds::DsKind::kQueue,
         ds::DsKind::kOrderedList, ds::DsKind::kHashMap};
@@ -28,11 +46,12 @@ main()
     for (const ds::DsKind s : structures) {
         print_header(
             (std::string("Fig.7 ") + ds::ds_kind_name(s)).c_str());
-        std::printf("%-10s %8s %10s   %s\n", "runtime", "threads",
+        std::printf("%-15s %8s %10s   %s\n", "runtime", "threads",
                     "Mops/s", "persist profile");
-        for (auto kind : baselines::all_runtime_kinds()) {
+        for (const RunCfg& rc : run_cfgs) {
             for (uint32_t threads : thread_sweep()) {
-                BenchWorld world(kind);
+                BenchWorld world(rc.kind, 512u << 20, 0, 4u << 20, true,
+                                 rc.lazy_lock_records);
                 ds::WorkloadConfig cfg;
                 cfg.ds = s;
                 cfg.threads = threads;
@@ -45,15 +64,13 @@ main()
                 persist_counters_reset_global();
                 const auto result =
                     ds::workload_run(*world.runtime, root, cfg);
-                std::printf("%-10s %8u %10.3f   %s\n",
-                            baselines::runtime_kind_name(kind),
+                std::printf("%-15s %8u %10.3f   %s\n", rc.label,
                             threads, result.mops(),
                             persist_profile(result.total_ops).c_str());
                 emit_json_row(
                     (std::string("fig7_") + ds::ds_kind_name(s))
                         .c_str(),
-                    baselines::runtime_kind_name(kind), threads,
-                    result.total_ops, secs);
+                    rc.label, threads, result.total_ops, secs);
             }
         }
     }

@@ -8,6 +8,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -376,7 +377,8 @@ run_heap_series()
  * whose audit is mostly the header walk -- this one resolves ~1 Mi
  * links, and its bucket table and item level are wide enough for the
  * parallel mark.  Two BENCH_heap.json rows, ops = blocks walked:
- * gc_audit_memc, and attach_crash -- a crash attach of the same heap.
+ * gc_audit_memc (the median of five audits), and attach_crash -- a
+ * crash attach of the same heap.
  */
 void
 run_heap_memc_series()
@@ -430,19 +432,45 @@ run_heap_memc_series()
     dom.fence();
     nvm::RootRegistry::set_ref(heap, nvm::RootSlot::kUser0, table, dom);
 
-    nvm::HeapGc gc(h, dom);
-    const auto t0 = std::chrono::steady_clock::now();
-    const nvm::GcStats s = gc.audit();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    std::printf("%-12s %10llu %14.0f live %llu  leaked %llu  index/mark/"
-                "census %.1f/%.1f/%.1f ms\n",
+    // One audit's mark split swings by up to 3x between runs, so audit
+    // the same heap kAudits times and report the median and range of
+    // each phase.  An audit writes nothing, so every run sees the same
+    // heap.
+    constexpr size_t kAudits = 5;
+    std::vector<double> secs, index_ms, mark_ms, census_ms;
+    nvm::GcStats s;
+    for (size_t run = 0; run < kAudits; ++run) {
+        nvm::HeapGc gc(h, dom);
+        const auto t0 = std::chrono::steady_clock::now();
+        s = gc.audit();
+        secs.push_back(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+        index_ms.push_back(s.index_ns / 1e6);
+        mark_ms.push_back(s.mark_ns / 1e6);
+        census_ms.push_back(s.census_ns / 1e6);
+    }
+    // Median and [min-max]; sorts v.
+    const auto spread = [](std::vector<double>& v) {
+        std::sort(v.begin(), v.end());
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.1f [%.1f-%.1f]",
+                      v[v.size() / 2], v.front(), v.back());
+        return std::string(buf);
+    };
+    const std::string index_txt = spread(index_ms);
+    const std::string mark_txt = spread(mark_ms);
+    const std::string census_txt = spread(census_ms);
+    std::sort(secs.begin(), secs.end());
+    const double seconds = secs[kAudits / 2];
+    std::printf("%-12s %10llu %14.0f live %llu  leaked %llu  median "
+                "[min-max] of %zu audits, ms: index %s  mark %s  census "
+                "%s\n",
                 "gc_audit_memc", static_cast<unsigned long long>(s.blocks),
                 seconds > 0 ? double(s.blocks) / seconds : 0.0,
                 static_cast<unsigned long long>(s.live_blocks),
-                static_cast<unsigned long long>(s.leaked_blocks),
-                s.index_ns / 1e6, s.mark_ns / 1e6, s.census_ns / 1e6);
+                static_cast<unsigned long long>(s.leaked_blocks), kAudits,
+                index_txt.c_str(), mark_txt.c_str(), census_txt.c_str());
     bench::emit_json_row("heap", "gc_audit_memc", 1, s.blocks, seconds);
 
     // The same heap attached as a crash recovery attaches it: one pass

@@ -58,7 +58,8 @@ struct BenchWorld
                         size_t heap_bytes = 512u << 20,
                         uint32_t flush_delay_ns = 0,
                         size_t log_bytes = 4u << 20,
-                        bool flush_elision = true)
+                        bool flush_elision = true,
+                        bool lazy_lock_records = true)
         : heap({.size = heap_bytes}), dom(flush_delay_ns)
     {
         rt::RuntimeConfig cfg;
@@ -67,6 +68,9 @@ struct BenchWorld
         // them against the stock ones) switch the runtime half of
         // ido-verify off: no covered stores, no boundary line dedup.
         cfg.flush_elision = flush_elision;
+        // Paper-faithful lock worlds record every lock operation with
+        // its own fence (iDO's Sec. III-B protocol).
+        cfg.lazy_lock_records = lazy_lock_records;
         runtime = baselines::make_runtime(kind, heap, dom, cfg);
         persist_counters_reset_global();
     }

@@ -297,6 +297,9 @@ IdoThread::advance_recovery_pc(uint64_t pc, bool tail_read_only)
     crash_tick();
     dom().store_val(&rec_->recovery_pc, pc);
     dom().flush(&rec_->recovery_pc, sizeof(uint64_t));
+    // Crash window: the pc line may persist before its fence, so every
+    // record it depends on must already be durable.
+    crash_tick();
     if (group_mode_ && tail_read_only) {
         // Deferred: persists at the next fence_pending_pc() or at the
         // batch-close fence.  Sound only because the caller guarantees
@@ -334,20 +337,33 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
 {
     if (activated_ || !prog.region(idx).may_store)
         return;
-    // First potentially-storing region: persist every register any
-    // region consumes as live-in (current values ARE this region's
-    // entry state; registers defined later get re-persisted, fresher,
-    // at their defining region's boundary), then go live.  The lock
-    // ownership records written so far were flushed at their lock
-    // operations' own fences, so they are already ordered before the
-    // recovery_pc publish.
+    // First potentially-storing region: record the locks the
+    // store-free prefix took, persist every register any region
+    // consumes as live-in (current values ARE this region's entry
+    // state; registers defined later get re-persisted, fresher, at
+    // their defining region's boundary), then go live.  The lock
+    // records must be durable before the recovery_pc publish, or
+    // recovery could resume a region without its lock: the live-in
+    // fence orders them, and without live-ins an explicit fence does.
+    const bool deferred_locks = unrecorded_ != 0;
+    if (deferred_locks)
+        record_deferred_locks();
     RegionMeta args_meta{};
     for (const RegionMeta& m : prog.regions) {
         args_meta.out_int |= m.live_in_int;
         args_meta.out_float |= m.live_in_float;
     }
-    if (args_meta.out_int || args_meta.out_float)
+    if (args_meta.out_int || args_meta.out_float) {
         persist_outputs(args_meta, ctx);
+    } else if (deferred_locks) {
+        if (group_mode_) {
+            // Thread-private locks (group contract), as in do_lock.
+            marker_flush_pending_ = true;
+        } else {
+            crash_tick();
+            dom().fence();
+        }
+    }
     // Never deferred: the region about to run stores to the heap, and
     // if its dirty lines persisted while the activation pc dropped, the
     // record would stay inactive and recovery would never repair them.
@@ -435,21 +451,47 @@ IdoThread::do_store_covered(uint64_t off, const void* src, size_t n)
 }
 
 void
+IdoThread::record_deferred_locks()
+{
+    bool high_line = false;
+    for (const HeldLock& h : held_) {
+        if (!(unrecorded_ & (1ull << h.slot)))
+            continue;
+        dom().store_val(&rec_->lock_array[h.slot], h.holder_off);
+        high_line |= h.slot >= 7;
+    }
+    lock_bitmap_mirror_ |= unrecorded_;
+    unrecorded_ = 0;
+    dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
+    // The bitmap shares its line with slots 0-6; slots 7+ sit on the
+    // next line.
+    dom().flush(&rec_->lock_bitmap, 8 * sizeof(uint64_t));
+    if (high_line)
+        dom().flush(&rec_->lock_array[7], 8 * sizeof(uint64_t));
+    // Crash window: records flushed, activation fence not yet issued.
+    // The pc is still inactive, so recovery ignores the record.
+    crash_tick();
+}
+
+void
 IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
 {
     acquire_transient(l);
     // Crash window between acquire and ownership record: another thread
     // may "steal" the lock in recovery, harmlessly (Sec. III-B).
     crash_tick();
-    int slot = -1;
-    for (size_t i = 0; i < kMaxHeldLocks; ++i) {
-        if (!(lock_bitmap_mirror_ & (1ull << i))) {
-            slot = static_cast<int>(i);
-            break;
-        }
+    const uint64_t taken = lock_bitmap_mirror_ | unrecorded_;
+    IDO_ASSERT(taken != (1ull << kMaxHeldLocks) - 1,
+               "more than %zu locks held in one FASE", kMaxHeldLocks);
+    const auto slot = static_cast<uint8_t>(__builtin_ctzll(~taken));
+    held_.push_back(HeldLock{holder_off, slot});
+    if (in_fase_ && !activated_ && rt_.config().lazy_lock_records) {
+        // Store-free prefix: nothing durable can depend on this lock
+        // yet, so its record waits for activation (or never exists, if
+        // the FASE never stores).
+        unrecorded_ |= 1ull << slot;
+        return;
     }
-    IDO_ASSERT(slot >= 0, "more than %zu locks held in one FASE",
-               kMaxHeldLocks);
     lock_bitmap_mirror_ |= 1ull << slot;
     dom().store_val(&rec_->lock_array[slot], holder_off);
     dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
@@ -471,7 +513,6 @@ IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
     } else {
         dom().fence(); // the single ordered write per lock op (III-B)
     }
-    held_.push_back(HeldLock{holder_off, static_cast<uint8_t>(slot)});
 }
 
 void
@@ -486,6 +527,13 @@ IdoThread::do_unlock(uint64_t holder_off, rt::TransientLock& l)
         }
     }
     IDO_ASSERT(slot >= 0, "unlocking a lock not held");
+    if (unrecorded_ & (1ull << slot)) {
+        // Released before activation: no record names it.
+        unrecorded_ &= ~(1ull << slot);
+        crash_tick();
+        l.unlock();
+        return;
+    }
     lock_bitmap_mirror_ &= ~(1ull << slot);
     dom().store_val(&rec_->lock_array[slot], uint64_t{0});
     dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);

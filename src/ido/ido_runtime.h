@@ -13,8 +13,17 @@
  * Two persist fences per region, independent of the number of stores --
  * this is the paper's entire performance argument.
  *
- * Lock protocol (indirect locking, Sec. III-B): one persist fence per
- * acquire/release, covering the lock_array entry and its bitmap bit.
+ * Lock protocol (indirect locking, Sec. III-B): a lock_array entry
+ * plus its bitmap bit name each held lock.  Once the FASE's log is
+ * live, every acquire and release writes, flushes and fences its
+ * record.  A lock taken before activation (the store-free prefix) is
+ * recorded lazily (RuntimeConfig::lazy_lock_records): it costs no
+ * persist at all until the first may_store region, whose activation
+ * writes and flushes every such record and orders them ahead of the
+ * live recovery_pc with the activation's own fence.  A store-free
+ * FASE therefore pays no flush and no fence for its locks; a crash
+ * before activation loses nothing recovery could tell apart from the
+ * FASE never having run, and transient locks die with the process.
  */
 #pragma once
 
@@ -154,9 +163,18 @@ class IdoThread final : public rt::RuntimeThread
     /** Fence a deferred recovery_pc flush (group mode), if any. */
     void fence_pending_pc();
 
+    /**
+     * Activation half of lazy lock records: write every unrecorded
+     * held lock into lock_array and the bitmap and flush their lines.
+     * The caller fences.
+     */
+    void record_deferred_locks();
+
     IdoLogRec* rec_;
     uint64_t rec_off_;
     uint64_t lock_bitmap_mirror_ = 0; ///< volatile copy of rec_->lock_bitmap
+    /** Slots of locks taken before activation: held, not yet recorded. */
+    uint64_t unrecorded_ = 0;
     bool activated_ = false; ///< lazy: logging live for this FASE?
     bool group_mode_ = false;      ///< inside begin/end_persist_group?
     bool pc_flush_pending_ = false;   ///< recovery_pc flushed, unfenced

@@ -69,6 +69,16 @@ struct RuntimeConfig
      */
     bool flush_elision = true;
 
+    /**
+     * iDO: a lock taken before the FASE's log activates writes no
+     * ownership record until activation, which records every such
+     * lock under the activation's own fence; a store-free FASE then
+     * takes and releases its locks with no flush and no fence.  Off:
+     * every lock operation records ownership with its own fence (the
+     * paper's Sec. III-B protocol), for the paper-faithful bench rows.
+     */
+    bool lazy_lock_records = true;
+
     /** Per-thread Atlas/JUSTDO/Mnemosyne/NVThreads log bytes. */
     size_t log_bytes_per_thread = 1u << 20;
 

@@ -14,12 +14,14 @@
  *    (a stale group-mode lock record must not deadlock later FASEs).
  *
  * 2. A deterministic fence-reduction measurement: the same workload at
- *    batch limit K=1 (stock protocol) and K=16 must show at least a
- *    2x reduction in persist fences -- the acceptance criterion the
- *    server bench re-verifies end to end.
+ *    batch limit K=1 (stock protocol, eager lock records) and K=16
+ *    must show at least a 2x reduction in persist fences -- the
+ *    acceptance criterion the server bench re-verifies end to end --
+ *    and lazy lock records must at least halve the K=1 count.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -208,77 +210,107 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
 }
 
 /**
+ * Persist fences for the fence-ablation workload: 8 batches of 16
+ * requests, 2 sets and 14 gets each, at one batch limit.  K=1
+ * degenerates to one-request batches of the per-request protocol,
+ * exactly like an unbatched server.  Deterministic (real domain,
+ * fixed keys).
+ */
+uint64_t
+ablation_fences(uint32_t batch_limit, bool lazy_lock_records)
+{
+    MemcachedMini::register_programs();
+    const int kBatches = 8;
+    const int kPerBatch = 16;
+    nvm::PersistentHeap heap({.size = 32u << 20});
+    nvm::RealDomain dom;
+    rt::RuntimeConfig cfg;
+    cfg.lazy_lock_records = lazy_lock_records;
+    auto runtime = std::make_unique<IdoRuntime>(heap, dom, cfg);
+    auto th = runtime->make_thread();
+    const uint64_t root = MemcachedMini::create(*th, 1, 64);
+    MemcachedMini cache(heap, root);
+    for (int i = 0; i < 8; ++i) {
+        auto [lo, hi] = net::memc_key_words(key_name(i));
+        cache.set(*th, lo, hi, 1);
+    }
+    GroupCommit committer(*th, batch_limit, 0);
+    const uint64_t fences_before = tls_persist_counters().fences;
+    for (int b = 0; b < kBatches; ++b) {
+        std::vector<ShardJob> jobs;
+        for (int i = 0; i < kPerBatch; ++i) {
+            ShardJob j;
+            if (i % 8 == 0) {
+                j.req.op = MemcOp::kSet;
+                j.req.key = key_name(i % 8);
+                j.req.value = static_cast<uint64_t>(b * 100 + i);
+            } else {
+                j.req.op = MemcOp::kGet;
+                j.req.key = key_name(i % 8);
+            }
+            jobs.push_back(std::move(j));
+        }
+        std::vector<ShardReply> replies;
+        const auto exec = [&](const ShardJob& jj) {
+            return exec_job(cache, *th, jj);
+        };
+        if (batch_limit == 1) {
+            for (ShardJob& j : jobs)
+                committer.run_batch({j}, exec, &replies);
+        } else {
+            committer.run_batch(jobs, exec, &replies);
+        }
+    }
+    return tls_persist_counters().fences - fences_before;
+}
+
+/**
  * The acceptance arithmetic: K=16 must at least halve fences per
  * request vs the K=1 stock protocol on a read-heavy mix (2 sets per
  * 16 requests, near memcached's canonical ~10/90 write/read split).
  * Update FASEs keep the boundary fences guarding their may_store
  * regions even under group mode (soundness: ido_runtime.h), so the
  * elision payoff concentrates on the read paths -- which dominate
- * real cache traffic.  Deterministic (real domain, fixed keys).
+ * real cache traffic.  "Stock" is the paper's per-lock-op protocol
+ * (lazy_lock_records off): lazy records already strip the read
+ * paths' lock fences at K=1, which leaves group commit less to take.
  */
 TEST(GroupCommitFences, K16HalvesFencesVsK1)
 {
-    MemcachedMini::register_programs();
-    const int kBatches = 8;
-    const int kPerBatch = 16;
-
-    auto fences_for = [&](uint32_t batch_limit) -> uint64_t {
-        nvm::PersistentHeap heap({.size = 32u << 20});
-        nvm::RealDomain dom;
-        rt::RuntimeConfig cfg;
-        auto runtime = std::make_unique<IdoRuntime>(heap, dom, cfg);
-        auto th = runtime->make_thread();
-        const uint64_t root = MemcachedMini::create(*th, 1, 64);
-        MemcachedMini cache(heap, root);
-        for (int i = 0; i < 8; ++i) {
-            auto [lo, hi] = net::memc_key_words(key_name(i));
-            cache.set(*th, lo, hi, 1);
-        }
-        GroupCommit committer(*th, batch_limit, 0);
-        const uint64_t fences_before = tls_persist_counters().fences;
-        for (int b = 0; b < kBatches; ++b) {
-            std::vector<ShardJob> jobs;
-            for (int i = 0; i < kPerBatch; ++i) {
-                ShardJob j;
-                if (i % 8 == 0) {
-                    j.req.op = MemcOp::kSet;
-                    j.req.key = key_name(i % 8);
-                    j.req.value = static_cast<uint64_t>(b * 100 + i);
-                } else {
-                    j.req.op = MemcOp::kGet;
-                    j.req.key = key_name(i % 8);
-                }
-                jobs.push_back(std::move(j));
-            }
-            // K=1 degenerates to one-request batches of the stock
-            // protocol, exactly like an unbatched server.
-            std::vector<ShardReply> replies;
-            if (batch_limit == 1) {
-                for (ShardJob& j : jobs)
-                    committer.run_batch(
-                        {j},
-                        [&](const ShardJob& jj) {
-                            return exec_job(cache, *th, jj);
-                        },
-                        &replies);
-            } else {
-                committer.run_batch(
-                    jobs,
-                    [&](const ShardJob& jj) {
-                        return exec_job(cache, *th, jj);
-                    },
-                    &replies);
-            }
-        }
-        return tls_persist_counters().fences - fences_before;
-    };
-
-    const uint64_t fences_k1 = fences_for(1);
-    const uint64_t fences_k16 = fences_for(16);
+    const uint64_t fences_k1 = ablation_fences(1, false);
+    const uint64_t fences_k16 = ablation_fences(16, false);
     ASSERT_GT(fences_k16, 0u);
     EXPECT_GE(fences_k1, 2 * fences_k16)
         << "K=16 must reduce fences/request by at least 2x (K=1: "
         << fences_k1 << ", K=16: " << fences_k16 << ")";
+}
+
+/**
+ * Lazy lock records on the same workload: at K=1 they must at least
+ * halve the stock protocol's fences (every get's lock and unlock fence
+ * goes, and each set's acquire fence folds into its activation
+ * fence), and at K=16 they must cost no more than the stock protocol.
+ * The lazy K=1/K=16 ratio -- what group commit still buys on top --
+ * is printed, not gated.
+ */
+TEST(GroupCommitFences, LazyLockRecordsHalveK1Fences)
+{
+    const uint64_t eager_k1 = ablation_fences(1, false);
+    const uint64_t eager_k16 = ablation_fences(16, false);
+    const uint64_t lazy_k1 = ablation_fences(1, true);
+    const uint64_t lazy_k16 = ablation_fences(16, true);
+    ASSERT_GT(lazy_k16, 0u);
+    EXPECT_LE(2 * lazy_k1, eager_k1)
+        << "lazy K=1: " << lazy_k1 << ", eager K=1: " << eager_k1;
+    EXPECT_LE(lazy_k16, eager_k16)
+        << "lazy K=16: " << lazy_k16 << ", eager K=16: " << eager_k16;
+    std::printf("fences: eager K=1 %llu K=16 %llu; lazy K=1 %llu "
+                "K=16 %llu (lazy K=1/K=16 = %.2fx)\n",
+                static_cast<unsigned long long>(eager_k1),
+                static_cast<unsigned long long>(eager_k16),
+                static_cast<unsigned long long>(lazy_k1),
+                static_cast<unsigned long long>(lazy_k16),
+                double(lazy_k1) / double(lazy_k16));
 }
 
 /**

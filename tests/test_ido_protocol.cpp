@@ -2,11 +2,13 @@
  * @file
  * Protocol-level tests for iDO normal execution: log-record lifecycle,
  * recovery_pc sequencing, fence economy (two per boundary with outputs,
- * one without; zero extra for acquires, one for releases), persist
- * coalescing of register outputs, and lock_array maintenance.
+ * one without; one per lock operation once the log is live, none for a
+ * lock taken or released in the store-free prefix), persist coalescing
+ * of register outputs, and lock_array maintenance.
  */
 #include <gtest/gtest.h>
 
+#include "apps/memcached_mini.h"
 #include "ds/fase_ids.h"
 #include "ds/stack.h"
 #include "ds/workload.h"
@@ -167,9 +169,11 @@ TEST_F(IdoFixture, StackPushFenceBudget)
     stack.push(*th, 1); // warm the lock table
     tls_persist_counters().clear();
     stack.push(*th, 2);
-    // begin(2: args+pc) + lock-boundary(1) + build(2) + publish(2)
-    // + unlock(1) + final(1) = 9 fences; acquire piggybacks, release
-    // pays one.  Allocator adds its own internal fences, so bound it.
+    // The acquire runs in the store-free lock region, so its record
+    // rides the activation: activation(2: args+pc) + build(2)
+    // + publish(2) + unlock(1) + final(1) = 8 fences; the release pays
+    // one.  The allocator adds its own internal fences (one per push
+    // here), so bound it.
     EXPECT_GE(tls_persist_counters().fences, 9u);
     EXPECT_LE(tls_persist_counters().fences, 13u);
     tls_persist_counters().clear();
@@ -241,6 +245,135 @@ TEST_F(IdoFixture, LockArrayTracksHeldLocks)
     EXPECT_EQ(array0_mid, holder_slot_off);
     EXPECT_EQ(probe->rec()->lock_bitmap, 0u);
     EXPECT_EQ(probe->rec()->lock_array[0], 0u);
+}
+
+/**
+ * Persist cost of one memcached request on a warm one-bucket cache
+ * (real domain, outside group mode): the request's fences and flushes.
+ */
+struct McCost
+{
+    uint64_t fences;
+    uint64_t flushes;
+};
+
+template <typename Op>
+McCost
+memcached_cost(bool lazy_lock_records, Op&& op)
+{
+    apps::MemcachedMini::register_programs();
+    nvm::PersistentHeap heap({.size = 16u << 20});
+    nvm::RealDomain dom;
+    IdoRuntime runtime(heap, dom,
+                       rt::RuntimeConfig{
+                           .check_contracts = true,
+                           .lazy_lock_records = lazy_lock_records});
+    auto th = runtime.make_thread();
+    apps::MemcachedMini cache(heap,
+                              apps::MemcachedMini::create(*th, 1, 1));
+    cache.set(*th, 1, 1, 10);
+    tls_persist_counters().clear();
+    op(cache, *th);
+    const McCost c{tls_persist_counters().fences,
+                   tls_persist_counters().flushes};
+    tls_persist_counters().clear();
+    return c;
+}
+
+TEST(IdoLazyLockRecords, GetCostsNoPersist)
+{
+    // lock, read_head, walk, unlock: no region may store, so the log
+    // never activates and the shard lock is taken transiently.
+    const McCost c = memcached_cost(true, [](auto& cache, auto& th) {
+        uint64_t v = 0;
+        EXPECT_TRUE(cache.get(th, 1, 1, &v));
+        EXPECT_EQ(v, 10u);
+    });
+    EXPECT_EQ(c.fences, 0u);
+    EXPECT_EQ(c.flushes, 0u);
+}
+
+TEST(IdoLazyLockRecords, DeleteMissCostsNoFence)
+{
+    const McCost c = memcached_cost(true, [](auto& cache, auto& th) {
+        EXPECT_FALSE(cache.del(th, 2, 2));
+    });
+    EXPECT_EQ(c.fences, 0u);
+}
+
+TEST(IdoLazyLockRecords, SetHitCostsSixFences)
+{
+    // The acquire's record joins the activation's live-in fence:
+    // activation(2) + update boundary(2) + unlock(1) + final(1).
+    const McCost c = memcached_cost(true, [](auto& cache, auto& th) {
+        cache.set(th, 1, 1, 11);
+    });
+    EXPECT_EQ(c.fences, 6u);
+}
+
+TEST(IdoLazyLockRecords, EagerRecordsKeepThePerLockOpFences)
+{
+    // lazy_lock_records off is the paper's protocol: one fence per
+    // lock operation, wherever it runs.
+    const McCost get = memcached_cost(false, [](auto& cache, auto& th) {
+        uint64_t v = 0;
+        EXPECT_TRUE(cache.get(th, 1, 1, &v));
+    });
+    EXPECT_EQ(get.fences, 2u);
+    const McCost set = memcached_cost(false, [](auto& cache, auto& th) {
+        cache.set(th, 1, 1, 11);
+    });
+    EXPECT_EQ(set.fences, 7u);
+}
+
+TEST_F(IdoFixture, LazyRecordsLandAtActivation)
+{
+    // A lock taken in a store-free region leaves the persistent record
+    // untouched until the first may_store region activates the log;
+    // from then on it is recorded like an eagerly taken lock.
+    static IdoThread* probe;
+    static uint64_t holder;
+    static uint64_t bitmap_before, bitmap_after, array0_after;
+    auto lock_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.fase_lock(holder);
+        return 1;
+    };
+    auto peek_r = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+        bitmap_before = probe->rec()->lock_bitmap;
+        return 2;
+    };
+    auto store_r = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+        bitmap_after = probe->rec()->lock_bitmap;
+        array0_after = probe->rec()->lock_array[0];
+        return 3;
+    };
+    auto unlock_r =
+        +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+            t.fase_unlock(holder);
+            return rt::kRegionEnd;
+        };
+    rt::FaseProgram p;
+    p.fase_id = 9006;
+    p.name = "lazy_locks";
+    p.regions = {{lock_r, "l", 0, 0, 0, 0, 0},
+                 {peek_r, "peek", 0, 0, 0, 0, 0},
+                 {store_r, "s", 0, 0, 0, 0, 1},
+                 {unlock_r, "u", 0, 0, 0, 0, 0}};
+
+    auto th = runtime.make_thread();
+    probe = static_cast<IdoThread*>(th.get());
+    holder = runtime.allocator().alloc(64, dom);
+    tls_persist_counters().clear();
+    rt::RegionCtx ctx;
+    th->run_fase(p, ctx);
+    EXPECT_EQ(bitmap_before, 0u);
+    EXPECT_EQ(bitmap_after, 1u);
+    EXPECT_EQ(array0_after, holder);
+    EXPECT_EQ(probe->rec()->lock_bitmap, 0u);
+    // No live-ins: the records get their own fence ahead of the pc's,
+    // so activation(2) + s boundary(1) + unlock(1) + final(1).
+    EXPECT_EQ(tls_persist_counters().fences, 5u);
+    tls_persist_counters().clear();
 }
 
 TEST_F(IdoFixture, TraitsMatchTableTwo)
