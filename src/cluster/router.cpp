@@ -34,7 +34,9 @@ Router::Router(const RouterConfig& cfg)
     : cfg_(cfg), ring_(cfg.ring_seed, cfg.vnodes),
       frontend_(loop_, cfg.port, "ido-router",
                 [this](uint64_t conn_id, uint64_t seq,
-                       net::MemcRequest&& rq) { forward(conn_id, seq, rq); },
+                       const std::atomic<bool>*, net::MemcRequest&& rq) {
+                    forward(conn_id, seq, rq);
+                },
                 [this] { flush_upstreams(); })
 {
     IDO_ASSERT(!cfg_.nodes.empty(), "router needs at least one node");

@@ -104,6 +104,12 @@ EventLoop::set_wake_handler(std::function<void()> fn)
 }
 
 void
+EventLoop::set_turn_end(std::function<void()> fn)
+{
+    turn_end_ = std::move(fn);
+}
+
+void
 EventLoop::wake()
 {
     // write(2) on an eventfd is async-signal-safe, so stop() can be
@@ -144,6 +150,8 @@ EventLoop::run()
             Callback cb = it->second;
             cb(evs[i].events);
         }
+        if (turn_end_)
+            turn_end_();
     }
 }
 

@@ -12,7 +12,9 @@
  * no timers, no cross-thread fd registration.  Callbacks may add,
  * modify or remove fds (including their own) from inside the callback;
  * removal is handled by looking handlers up fresh per event and
- * copying the callback before invoking it.
+ * copying the callback before invoking it.  One end-of-turn hook runs
+ * after every epoll_wait round has been dispatched; the front-end
+ * writes each connection's coalesced replies there.
  */
 #pragma once
 
@@ -61,6 +63,13 @@ class EventLoop
      */
     void set_wake_handler(std::function<void()> fn);
 
+    /**
+     * Invoked on the loop thread once per turn, after every event of
+     * an epoll_wait round was dispatched.  One hook per loop; nullptr
+     * clears it.
+     */
+    void set_turn_end(std::function<void()> fn);
+
     /** Nudge the loop from another thread (or a signal handler). */
     void wake();
 
@@ -75,6 +84,7 @@ class EventLoop
     int wakefd_ = -1;
     std::atomic<bool> running_{false};
     std::function<void()> wake_handler_;
+    std::function<void()> turn_end_;
     std::unordered_map<int, Callback> handlers_;
 };
 

@@ -54,7 +54,8 @@ stats_body()
 MemcFrontend::MemcFrontend(EventLoop& loop, uint16_t port, const char* what,
                            Submit submit, BurstEnd burst_end)
     : loop_(loop), submit_(std::move(submit)),
-      burst_end_(std::move(burst_end))
+      burst_end_(std::move(burst_end)),
+      reply_writes_(MetricsRegistry::instance().counter("net.reply_writes"))
 {
     listen_fd_ = listen_loopback(port, 128, what, &port_);
 }
@@ -71,11 +72,13 @@ void
 MemcFrontend::start()
 {
     loop_.add(listen_fd_, EPOLLIN, [this](uint32_t ev) { on_accept(ev); });
+    loop_.set_turn_end([this] { end_turn(); });
 }
 
 void
 MemcFrontend::stop()
 {
+    loop_.set_turn_end(nullptr);
     loop_.del(listen_fd_);
 }
 
@@ -115,15 +118,12 @@ MemcFrontend::on_event(uint64_t conn_id, uint32_t events)
     Conn& c = *it->second;
     if (c.fd < 0) // closed shell awaiting the owner's completions
         return;
-    in_event_ = true;
     if (events & (EPOLLHUP | EPOLLERR))
         close(c);
     if ((events & EPOLLOUT) && c.fd >= 0)
-        flush(c); // may close (write error / drained close)
+        mark_dirty(c);
     if ((events & EPOLLIN) && c.fd >= 0)
         read_burst(c);
-    in_event_ = false;
-    reap();
 }
 
 void
@@ -157,8 +157,9 @@ MemcFrontend::read_burst(Conn& c)
         c.closing = true;
     if (burst_end_)
         burst_end_();
+    // Inline answers and a new closing state settle in the write pass.
     if (c.fd >= 0)
-        flush(c);
+        mark_dirty(c);
 }
 
 void
@@ -173,7 +174,7 @@ MemcFrontend::dispatch(Conn& c, MemcRequest&& rq)
     case MemcOp::kSet:
     case MemcOp::kDelete:
         ++c.inflight;
-        submit_(c.id, seq, std::move(rq));
+        submit_(c.id, seq, &c.alive, std::move(rq));
         return;
     case MemcOp::kStats:
         reply = stats_body();
@@ -206,12 +207,10 @@ MemcFrontend::complete(uint64_t conn_id, uint64_t seq, std::string reply)
     --c.inflight;
     if (c.fd >= 0) {
         release(c, seq, std::move(reply));
-        flush(c); // may close (write error / drained close)
+        mark_dirty(c);
     } else if (c.inflight == 0) {
         defunct_.push_back(conn_id);
     }
-    if (!in_event_)
-        reap();
 }
 
 void
@@ -232,12 +231,43 @@ MemcFrontend::release(Conn& c, uint64_t seq, std::string reply)
 }
 
 void
+MemcFrontend::mark_dirty(Conn& c)
+{
+    if (!c.dirty) {
+        c.dirty = true;
+        dirty_.push_back(c.id);
+    }
+}
+
+void
+MemcFrontend::end_turn()
+{
+    // No Conn& frame is on the stack here, so this is the one point
+    // where flushing may close a conn and shells may be erased.  A
+    // dirty conn may have closed (or been reaped) since it was marked.
+    for (uint64_t id : dirty_) {
+        auto it = conns_.find(id);
+        if (it == conns_.end())
+            continue;
+        Conn& c = *it->second;
+        c.dirty = false;
+        if (c.fd >= 0)
+            flush(c); // may close (write error / drained close)
+    }
+    dirty_.clear();
+    for (uint64_t id : defunct_)
+        conns_.erase(id);
+    defunct_.clear();
+}
+
+void
 MemcFrontend::flush(Conn& c)
 {
     while (!c.out.empty()) {
         const ssize_t n =
             ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
         if (n > 0) {
+            reply_writes_->fetch_add(1, std::memory_order_relaxed);
             c.out.erase(0, static_cast<size_t>(n));
             continue;
         }
@@ -275,6 +305,7 @@ MemcFrontend::close(Conn& c)
     loop_.del(c.fd);
     ::close(c.fd);
     c.fd = -1;
+    c.alive.store(false, std::memory_order_relaxed);
     c.out.clear();
     c.reorder.clear();
     pending_out_.fetch_sub(c.out_accounted, std::memory_order_relaxed);
@@ -284,14 +315,6 @@ MemcFrontend::close(Conn& c)
     // requests at the owner the shell stays until the last complete().
     if (c.inflight == 0)
         defunct_.push_back(c.id);
-}
-
-void
-MemcFrontend::reap()
-{
-    for (uint64_t id : defunct_)
-        conns_.erase(id);
-    defunct_.clear();
 }
 
 } // namespace ido::net

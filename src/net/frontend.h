@@ -13,10 +13,22 @@
  * owner, through the submit callback, stamped (conn_id, seq).  The
  * owner answers each with complete() on the loop thread -- possibly
  * from inside submit itself, as the router's fail-fast path does.
+ * After each read burst the burst-end hook lets the owner hand the
+ * whole burst on at once (the server: one queue hand-off per shard;
+ * the router: one write per upstream).
+ *
+ * Writes are coalesced per loop turn: complete(), a read burst and
+ * EPOLLOUT only release bytes into the connection's output buffer and
+ * mark it dirty.  The loop's end-of-turn hook writes each dirty
+ * connection once, so a batch of replies that completes in one turn
+ * leaves as one send(); `net.reply_writes` counts those sends.
  *
  * Reclamation is deferred: a closed connection stays as a shell until
- * every submitted request completed, and it is erased only when no
- * front-end frame holding a Conn& is on the stack.
+ * every submitted request completed, and it is erased only at the end
+ * of a loop turn, when no front-end frame holding a Conn& is on the
+ * stack.  Each connection carries a liveness flag, cleared when it
+ * closes; the owner may skip work whose flag is clear, but must still
+ * complete() it so the shell is reaped.
  */
 #pragma once
 
@@ -37,11 +49,17 @@ namespace ido::net {
 class MemcFrontend
 {
   public:
-    /** A get/set/delete for the owner; answered by complete(). */
-    using Submit =
-        std::function<void(uint64_t conn_id, uint64_t seq, MemcRequest&&)>;
-    /** Runs after each read burst was dispatched (the router flushes
-     *  its upstreams here so a client pipeline stays one write). */
+    /**
+     * A get/set/delete for the owner; answered by complete().  `alive`
+     * is the connection's liveness flag: it turns false when the
+     * connection closes and stays readable (from any thread) until
+     * this request is completed.
+     */
+    using Submit = std::function<void(uint64_t conn_id, uint64_t seq,
+                                      const std::atomic<bool>* alive,
+                                      MemcRequest&&)>;
+    /** Runs after each read burst was dispatched, so the owner can
+     *  hand the burst's requests on in one go. */
     using BurstEnd = std::function<void()>;
 
     /** Bind + listen on loopback:`port` (0 = kernel-assigned). */
@@ -54,14 +72,16 @@ class MemcFrontend
 
     uint16_t port() const { return port_; }
 
-    /** Register / deregister the listener with the loop. */
+    /** Register / deregister the listener and the end-of-turn write
+     *  pass with the loop. */
     void start();
     void stop();
 
     /**
      * The owner's reply to request `seq` of `conn_id` (loop thread).
-     * For a connection that has closed meanwhile it only counts down
-     * the in-flight requests.
+     * The reply goes out at the end of the loop turn.  For a
+     * connection that has closed meanwhile it only counts down the
+     * in-flight requests.
      */
     void complete(uint64_t conn_id, uint64_t seq, std::string reply);
 
@@ -94,6 +114,9 @@ class MemcFrontend
         /// No request after this point is served: quit, peer EOF or a
         /// framing error.  Reading stops; the conn closes once drained.
         bool closing = false;
+        bool dirty = false;        ///< queued for this turn's write pass
+        /// Cleared by close(); submitted jobs point at it (Submit).
+        std::atomic<bool> alive{true};
     };
 
     void on_accept(uint32_t events);
@@ -101,9 +124,11 @@ class MemcFrontend
     void read_burst(Conn& c);
     void dispatch(Conn& c, MemcRequest&& rq);
     void release(Conn& c, uint64_t seq, std::string reply);
+    void mark_dirty(Conn& c);
+    /** The loop's end-of-turn hook: flush every dirty conn, reap. */
+    void end_turn();
     void flush(Conn& c);
     void close(Conn& c);
-    void reap();
 
     EventLoop& loop_;
     Submit submit_;
@@ -112,15 +137,16 @@ class MemcFrontend
     uint16_t port_ = 0;
 
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-    /// Closed conns with nothing in flight, erased by reap().
+    /// Conns with bytes to write or state to settle this turn.
+    std::vector<uint64_t> dirty_;
+    /// Closed conns with nothing in flight, erased by end_turn().
     std::vector<uint64_t> defunct_;
-    /// True while on_event holds a Conn&: complete() must not reap.
-    bool in_event_ = false;
     uint64_t next_conn_id_ = 1;
     uint64_t served_inline_ = 0;
 
     std::atomic<uint64_t> conn_count_{0};
     std::atomic<uint64_t> pending_out_{0};
+    std::atomic<uint64_t>* reply_writes_ = nullptr; ///< net.reply_writes
 };
 
 } // namespace ido::net

@@ -22,6 +22,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -41,6 +42,9 @@ struct ShardJob
     uint64_t conn_id = 0;
     uint64_t seq = 0; ///< per-connection sequence for in-order replies
     uint64_t t_enqueue_ns = 0; ///< stat_now_ns() at routing; 0 = untimed
+    /// The connection's liveness flag (MemcFrontend::Submit); a job
+    /// whose flag is clear is dropped unexecuted.  nullptr = always live.
+    const std::atomic<bool>* alive = nullptr;
     MemcRequest req;
 };
 

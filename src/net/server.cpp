@@ -14,10 +14,13 @@ Server::Server(rt::Runtime& rt, const ServerConfig& cfg)
     : rt_(rt), cfg_(cfg),
       // Binds before the constructor returns, so callers (and the port
       // file in ido_serve) can rely on the port being acquired.
-      frontend_(loop_, cfg.port, "ido-serve",
-                [this](uint64_t conn_id, uint64_t seq, MemcRequest&& rq) {
-                    route_request(conn_id, seq, std::move(rq));
-                })
+      frontend_(
+          loop_, cfg.port, "ido-serve",
+          [this](uint64_t conn_id, uint64_t seq,
+                 const std::atomic<bool>* alive, MemcRequest&& rq) {
+              route_request(conn_id, seq, alive, std::move(rq));
+          },
+          [this] { hand_off(); })
 {
     IDO_ASSERT(cfg_.shards >= 1 && cfg_.shards <= 7,
                "shards must be 1..7 (McRoot capacity)");
@@ -75,6 +78,7 @@ void
 Server::run()
 {
     workers_.clear();
+    staged_.assign(cfg_.shards, {});
     for (uint32_t i = 0; i < cfg_.shards; ++i) {
         ShardConfig sc;
         sc.index = i;
@@ -129,21 +133,33 @@ Server::requests_served() const
 }
 
 void
-Server::route_request(uint64_t conn_id, uint64_t seq, MemcRequest&& rq)
+Server::route_request(uint64_t conn_id, uint64_t seq,
+                      const std::atomic<bool>* alive, MemcRequest&& rq)
 {
     apps::MemcachedMini cache(rt_.heap(), root_off_);
     auto [lo, hi] = memc_key_words(rq.key);
     const uint64_t shard = cache.shard_index(lo, hi);
-    ShardJob job;
+    ShardJob& job = staged_[shard].emplace_back();
     job.conn_id = conn_id;
     job.seq = seq;
-    // Stamp the ido-stat clock here -- parse time -- so the end-to-end
-    // latency covers queue-wait, execute, and the group-commit publish
-    // fence.  0 keeps the workers' timing paths entirely cold when the
-    // plane is off.
-    job.t_enqueue_ns = stat_enabled() ? stat_now_ns() : 0;
+    job.alive = alive;
+    // Stamp the ido-stat clock here -- parse time, once per read burst
+    // -- so the end-to-end latency covers queue-wait, execute, and the
+    // group-commit publish fence.  0 keeps the workers' timing paths
+    // entirely cold when the plane is off.
+    if (burst_t_ns_ == 0 && stat_enabled())
+        burst_t_ns_ = stat_now_ns();
+    job.t_enqueue_ns = burst_t_ns_;
     job.req = std::move(rq);
-    workers_[shard]->submit(std::move(job));
+}
+
+void
+Server::hand_off()
+{
+    for (size_t i = 0; i < staged_.size(); ++i)
+        if (!staged_[i].empty())
+            workers_[i]->submit(staged_[i]);
+    burst_t_ns_ = 0;
 }
 
 void

@@ -9,6 +9,9 @@
  *  - N McShardWorker threads, one per McShard, execute FASEs.  The
  *    loop routes each request by MemcachedMini::shard_index(), so each
  *    shard's lock is thread-private -- the group-persist contract.
+ *    A read burst's requests are staged per shard and handed to each
+ *    worker at the burst's end under one lock with one wake-up, so a
+ *    pipelined burst reaches the worker whole and fills its batch.
  *
  * Reply ordering: the memcached text protocol has no request ids, so
  * replies on a connection must go out in request order even though
@@ -23,6 +26,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -106,7 +110,11 @@ class Server
     uint64_t requests_served() const;
 
   private:
-    void route_request(uint64_t conn_id, uint64_t seq, MemcRequest&& rq);
+    /** The front-end's submit: stage a request for its shard. */
+    void route_request(uint64_t conn_id, uint64_t seq,
+                       const std::atomic<bool>* alive, MemcRequest&& rq);
+    /** The front-end's burst end: one queue hand-off per shard. */
+    void hand_off();
     void drain_completions();
 
     rt::Runtime& rt_;
@@ -116,6 +124,9 @@ class Server
     EventLoop loop_;
     MemcFrontend frontend_;
     std::vector<std::unique_ptr<McShardWorker>> workers_;
+    /// Per shard: this read burst's jobs, handed off at its end.
+    std::vector<std::vector<ShardJob>> staged_;
+    uint64_t burst_t_ns_ = 0; ///< this burst's enqueue stamp; 0 = none
 
     std::mutex done_mu_;
     std::vector<ShardReply> done_; ///< worker -> loop completions

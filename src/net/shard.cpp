@@ -1,9 +1,8 @@
 #include "net/shard.h"
 
-#include <algorithm>
 #include <atomic>
-
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "apps/memcached_mini.h"
@@ -41,13 +40,16 @@ McShardWorker::start()
 }
 
 void
-McShardWorker::submit(ShardJob job)
+McShardWorker::submit(std::vector<ShardJob>& jobs)
 {
+    const size_t n = jobs.size();
     {
         std::lock_guard<std::mutex> g(mu_);
-        queue_.push_back(std::move(job));
+        queue_.insert(queue_.end(), std::make_move_iterator(jobs.begin()),
+                      std::make_move_iterator(jobs.end()));
     }
-    queue_depth_.fetch_add(1, std::memory_order_relaxed);
+    jobs.clear();
+    queue_depth_.fetch_add(n, std::memory_order_relaxed);
     cv_.notify_one();
 }
 
@@ -193,7 +195,11 @@ McShardWorker::thread_main()
         IDO_ASSERT(cache.shard_index(lo, hi) == cfg_.index,
                    "request routed to the wrong shard worker");
         net_requests.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t t0 = job.t_enqueue_ns ? stat_now_ns() : 0;
+        // A batch runs its jobs back to back: one clock read per job,
+        // the previous job's end is this one's start.
+        const uint64_t t0 = job.t_enqueue_ns == 0 ? 0
+                            : last_exec_end_ns != 0 ? last_exec_end_ns
+                                                    : stat_now_ns();
         std::string reply;
         switch (rq.op) {
         case MemcOp::kSet:
@@ -224,21 +230,35 @@ McShardWorker::thread_main()
 
     std::vector<ShardJob> batch;
     std::vector<ShardReply> replies;
+    std::vector<ShardReply> dropped;
     for (;;) {
         {
             std::unique_lock<std::mutex> g(mu_);
             cv_.wait(g, [this] { return stopping_ || !queue_.empty(); });
             if (queue_.empty() && stopping_)
                 break;
-            const size_t take =
-                std::min<size_t>(queue_.size(), cfg_.batch_limit);
-            batch.assign(std::make_move_iterator(queue_.begin()),
-                         std::make_move_iterator(queue_.begin() +
-                                                 static_cast<long>(take)));
-            queue_.erase(queue_.begin(),
-                         queue_.begin() + static_cast<long>(take));
+            // Take up to K live jobs; a closed connection's jobs are
+            // skipped on the way (never executed, never acked).
+            while (!queue_.empty() && batch.size() < cfg_.batch_limit) {
+                ShardJob& j = queue_.front();
+                if (j.alive == nullptr
+                    || j.alive->load(std::memory_order_relaxed))
+                    batch.push_back(std::move(j));
+                else
+                    dropped.push_back({j.conn_id, j.seq, {}});
+                queue_.pop_front();
+            }
         }
-        queue_depth_.fetch_sub(batch.size(), std::memory_order_relaxed);
+        queue_depth_.fetch_sub(batch.size() + dropped.size(),
+                               std::memory_order_relaxed);
+        if (!dropped.empty()) {
+            // Empty completions: the front-end only counts them down.
+            if (publish_)
+                publish_(std::move(dropped));
+            dropped.clear();
+        }
+        if (batch.empty())
+            continue;
         // Queue-wait phase ends for every job in the batch now, when
         // the worker picks it up (jobs routed with stats off carry
         // t_enqueue_ns == 0 and are skipped entirely).

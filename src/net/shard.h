@@ -4,7 +4,9 @@
  *
  * The event loop routes every request whose key hashes to shard i onto
  * worker i's queue, so worker i is the *only* thread that ever takes
- * shard i's FASE-boundary lock.  That thread-privacy is what licenses
+ * shard i's FASE-boundary lock.  The loop hands over a whole read
+ * burst's jobs per shard at once (one lock, one wake-up), so a
+ * pipelined burst is in the queue before the worker picks a batch.  That thread-privacy is what licenses
  * the group-persist batcher to defer lock-record fences (runtime.h);
  * thread_main asserts it per request in debug builds.
  *
@@ -12,6 +14,12 @@
  * itself, so per-thread durable log records and trace rings attach to
  * it) and drains its queue in batches of at most K = batch_limit jobs
  * through GroupCommit before publishing the replies back to the loop.
+ *
+ * A job whose connection already closed (ShardJob::alive clear) is
+ * dropped at batch pickup, also while stop() drains the queue: it was
+ * never acked, so skipping it keeps the durability contract.  It is
+ * still published, with an empty reply, so the front-end can count
+ * down the closed connection's in-flight requests and reap it.
  */
 #pragma once
 
@@ -61,10 +69,11 @@ class McShardWorker
     /** Start the worker thread. */
     void start();
 
-    /** Enqueue one job (loop thread). */
-    void submit(ShardJob job);
+    /** Enqueue every job of `jobs`, leaving it empty (loop thread). */
+    void submit(std::vector<ShardJob>& jobs);
 
-    /** Drain the queue, then stop and join the worker thread. */
+    /** Drain the queue (live jobs run, dead ones are dropped), then
+     *  stop and join the worker thread. */
     void stop();
 
     uint64_t requests_served() const { return served_; }

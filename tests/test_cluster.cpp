@@ -24,6 +24,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -31,6 +32,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -660,6 +662,133 @@ TEST(Cluster, RouterHalfCloseWaitsWithoutSpinning)
     EXPECT_TRUE(eof) << "no EOF after the reply";
     EXPECT_LT(cpu_ns, wall_ns / 4)
         << "cpu " << cpu_ns << " ns over a " << wall_ns << " ns wait";
+}
+
+/**
+ * A scripted upstream node for the router: answers every `get` with a
+ * miss, writing each read's replies in two halves 30 ms apart, so the
+ * router relays one upstream burst over two loop turns.
+ */
+struct SplitReplyUpstream
+{
+    SplitReplyUpstream()
+    {
+        lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in a = {};
+        a.sin_family = AF_INET;
+        a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t alen = sizeof a;
+        if (::bind(lfd, reinterpret_cast<sockaddr*>(&a), sizeof a) != 0 ||
+            ::listen(lfd, 8) != 0 ||
+            ::getsockname(lfd, reinterpret_cast<sockaddr*>(&a), &alen) != 0)
+            ADD_FAILURE() << "upstream listener setup failed";
+        port = ntohs(a.sin_port);
+        thread = std::thread([this] { serve(); });
+    }
+    ~SplitReplyUpstream()
+    {
+        stop.store(true);
+        thread.join();
+        ::close(lfd);
+    }
+
+    void serve()
+    {
+        int fd = -1;
+        while (!stop.load()) {
+            pollfd p = {fd >= 0 ? fd : lfd, POLLIN, 0};
+            if (::poll(&p, 1, 20) <= 0)
+                continue;
+            if (fd < 0) {
+                fd = ::accept(lfd, nullptr, nullptr);
+                continue;
+            }
+            char buf[4096];
+            const ssize_t n = ::read(fd, buf, sizeof buf);
+            if (n <= 0)
+                break;
+            // Every request is a one-line get: one reply per line end.
+            const size_t gets = static_cast<size_t>(
+                std::count(buf, buf + n, '\n'));
+            std::string first, second;
+            for (size_t i = 0; i < gets; ++i)
+                (i < gets / 2 ? first : second) += "END\r\n";
+            ::send(fd, first.data(), first.size(), MSG_NOSIGNAL);
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+            ::send(fd, second.data(), second.size(), MSG_NOSIGNAL);
+        }
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    int lfd = -1;
+    uint16_t port = 0;
+    std::atomic<bool> stop{false};
+    std::thread thread;
+};
+
+// A router client resets or half-closes while an upstream burst is
+// being relayed to it: its replies complete against a closed shell
+// (reset) or a closing connection that must still get every reply and
+// then EOF (half-close).  The router must stay up; the ASAN build
+// catches a dangling Conn& in the end-of-turn write pass.
+TEST(Cluster, RouterClientGoneMidRelayLeavesRouterUp)
+{
+    SplitReplyUpstream up;
+    RouterConfig rcfg;
+    rcfg.nodes = {{"127.0.0.1", up.port}};
+    RouterThread rt(rcfg);
+
+    const auto dial = [&rt]() -> int {
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        EXPECT_GE(fd, 0);
+        timeval tv = {5, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+        sockaddr_in a = {};
+        a.sin_family = AF_INET;
+        a.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        a.sin_port = htons(rt.router.port());
+        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&a), sizeof a),
+                  0);
+        return fd;
+    };
+    std::string burst;
+    for (int i = 0; i < 200; ++i)
+        burst += "get relay" + std::to_string(i) + "\r\n";
+    char buf[4096];
+
+    for (int round = 0; round < 10; ++round) {
+        const int fd = dial();
+        ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+                  static_cast<ssize_t>(burst.size()));
+        ASSERT_GT(::read(fd, buf, sizeof buf), 0) << "nothing relayed";
+        const linger reset = {1, 0}; // close() sends RST
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+        ::close(fd);
+    }
+
+    const int fd = dial();
+    ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+              static_cast<ssize_t>(burst.size()));
+    std::string got;
+    ssize_t n = ::read(fd, buf, sizeof buf);
+    ASSERT_GT(n, 0) << "nothing relayed";
+    got.append(buf, static_cast<size_t>(n));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    while ((n = ::read(fd, buf, sizeof buf)) > 0)
+        got.append(buf, static_cast<size_t>(n));
+    EXPECT_EQ(n, 0) << "no EOF after the replies";
+    ::close(fd);
+    std::string want;
+    for (int i = 0; i < 200; ++i)
+        want += "END\r\n";
+    EXPECT_EQ(got, want);
+
+    MemcClient c;
+    ASSERT_TRUE(c.connect_retry("127.0.0.1", rt.router.port(), 100, 20));
+    uint64_t v = 0;
+    EXPECT_FALSE(c.get("after-relay", &v));
+    EXPECT_EQ(c.last_error(), net::ClientError::kNone);
 }
 
 TEST(Cluster, RouterPipelinesAcrossNodesInOrder)

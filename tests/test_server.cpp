@@ -4,7 +4,8 @@
  *
  * - InProcess*: a Server on an anonymous heap in this process, driven
  *   over real loopback sockets: protocol conformance, pipelining with
- *   cross-shard reply reordering, connection lifecycle.
+ *   cross-shard reply reordering, one reply write per batch, connection
+ *   lifecycle under deferred writes, dead-work skipping.
  *
  * - KillNineUnderLoad: the headline crash test.  Forks the real
  *   ido_serve binary (found via $IDO_SERVE_BIN, set by CMake) on a
@@ -51,6 +52,7 @@
 #include "net/server.h"
 #include "nvm/persist_domain.h"
 #include "nvm/persistent_heap.h"
+#include "stats/metrics.h"
 
 namespace ido {
 namespace {
@@ -80,8 +82,13 @@ struct InProcessServer
         thread = std::thread([this] { server->run(); });
     }
 
-    ~InProcessServer()
+    ~InProcessServer() { stop(); }
+
+    /** Stop the loop and join; run() returns once every worker stopped. */
+    void stop()
     {
+        if (!thread.joinable())
+            return;
         server->stop();
         thread.join();
     }
@@ -220,6 +227,9 @@ TEST(InProcessServer_, StatsCommandReportsTrafficAndLatency)
     EXPECT_GE(std::stoull(st["net.requests"]), 21u);
     ASSERT_TRUE(st.count("net.conns"));
     EXPECT_GE(std::stoull(st["net.conns"]), 1u);
+    // Every reply so far left in some write.
+    ASSERT_TRUE(st.count("net.reply_writes"));
+    EXPECT_GE(std::stoull(st["net.reply_writes"]), 1u);
     // Default build runs with IDO_STAT on; each acked set was recorded
     // before its reply was released.
     ASSERT_TRUE(st.count("net.lat.req.set.count"));
@@ -256,6 +266,7 @@ TEST(InProcessServer_, AdminEndpointServesMetrics)
                                     "/stats.json", &body));
     EXPECT_NE(body.find("\"counters\""), std::string::npos);
     EXPECT_NE(body.find("\"latencies\""), std::string::npos);
+    EXPECT_NE(body.find("\"net.reply_writes\""), std::string::npos);
 
     ASSERT_TRUE(
         net::admin_http_get(s.server->admin_port(), "/healthz", &body));
@@ -405,6 +416,199 @@ TEST(InProcessServer_, ClientGoneMidRepliesLeavesServerUp)
     MemcClient c;
     ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
     EXPECT_TRUE(c.set("after-gone", 9));
+}
+
+/** Send all of `wire` with one write; false if it was cut short. */
+bool
+write_all_once(int fd, const std::string& wire)
+{
+    return ::write(fd, wire.data(), wire.size()) ==
+           static_cast<ssize_t>(wire.size());
+}
+
+/** Read and decode one reply per op of `ops`, in order; false if the
+ *  connection failed, timed out or broke the grammar first. */
+bool
+read_replies(int fd, const std::vector<net::MemcOp>& ops,
+             std::vector<net::MemcReply>* out)
+{
+    net::MemcReplyParser parser;
+    char buf[4096];
+    net::MemcReply r;
+    while (out->size() < ops.size()) {
+        if (parser.next(ops[out->size()], &r)) {
+            out->push_back(std::move(r));
+            continue;
+        }
+        if (parser.bad())
+            return false;
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n <= 0)
+            return false;
+        parser.feed(buf, static_cast<size_t>(n));
+    }
+    return true;
+}
+
+uint64_t
+reply_writes()
+{
+    return MetricsRegistry::instance().counter("net.reply_writes")->load();
+}
+
+// A pipelined burst that one K-deep batch answers leaves the server as
+// one send(), not one per reply: completions only mark the connection
+// dirty and the loop's end-of-turn pass writes it once.
+TEST(InProcessServer_, PipelinedBurstIsOneReplyWrite)
+{
+    InProcessServer s(/*shards=*/1, /*batch_limit=*/16);
+    const int fd = dial_loopback(s.server->port());
+    std::string burst;
+    for (int i = 0; i < 16; ++i)
+        burst += "get rw" + std::to_string(i) + "\r\n";
+    const uint64_t before = reply_writes();
+    ASSERT_TRUE(write_all_once(fd, burst));
+    std::vector<net::MemcReply> got;
+    ASSERT_TRUE(read_replies(
+        fd, std::vector<net::MemcOp>(16, net::MemcOp::kGet), &got));
+    // The version round trip orders the burst's counter bump (made
+    // after its send returned) before our read of the counter.
+    ASSERT_TRUE(write_all_once(fd, "version\r\n"));
+    got.clear();
+    ASSERT_TRUE(read_replies(fd, {net::MemcOp::kVersion}, &got));
+    const uint64_t burst_writes = reply_writes() - before - 1;
+    ::close(fd);
+    EXPECT_LE(burst_writes, 2u) << "16 replies took " << burst_writes
+                                << " writes";
+}
+
+// One connection's pipeline spans both shards, three quarters of it on
+// shard 0.  With a publish delay per batch shard 0 runs three delayed
+// batches to shard 1's one, so shard 1's replies complete early and
+// must wait in the reorder buffer across several write passes.
+TEST(InProcessServer_, SlowShardKeepsPipelineOrder)
+{
+    InProcessServer s(/*shards=*/2, /*batch_limit=*/16, /*admin=*/false,
+                      /*publish_delay_ms=*/20);
+    apps::MemcachedMini cache(s.heap, s.server->root_off());
+    std::vector<std::string> keys[2];
+    const size_t want[2] = {48, 16};
+    for (int i = 0; keys[0].size() < want[0] || keys[1].size() < want[1];
+         ++i) {
+        const std::string k = "ord" + std::to_string(i);
+        const auto [lo, hi] = net::memc_key_words(k);
+        const uint64_t shard = cache.shard_index(lo, hi);
+        if (keys[shard].size() < want[shard])
+            keys[shard].push_back(k);
+    }
+    std::vector<std::string> order;
+    for (int i = 0; i < 16; ++i) {
+        for (int j = 0; j < 3; ++j)
+            order.push_back(keys[0][3 * i + j]);
+        order.push_back(keys[1][i]);
+    }
+    MemcClient c;
+    ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
+    for (size_t i = 0; i < order.size(); ++i)
+        c.pipeline_set(order[i], 7000 + i);
+    ASSERT_EQ(c.pipeline_flush(), order.size());
+
+    const int fd = dial_loopback(s.server->port());
+    std::string burst;
+    for (const std::string& k : order)
+        burst += "get " + k + "\r\n";
+    ASSERT_TRUE(write_all_once(fd, burst));
+    std::vector<net::MemcReply> got;
+    ASSERT_TRUE(read_replies(
+        fd, std::vector<net::MemcOp>(order.size(), net::MemcOp::kGet),
+        &got));
+    ::close(fd);
+    for (size_t i = 0; i < order.size(); ++i) {
+        ASSERT_EQ(got[i].kind, net::MemcReplyKind::kValue) << i;
+        EXPECT_EQ(got[i].value, 7000 + i) << "reply " << i << " out of order";
+    }
+}
+
+// A connection can close between being marked dirty and the end-of-turn
+// write pass: a reset raises EPOLLERR/EPOLLHUP in the same epoll round
+// as a completion wake-up.  The pass must look the connection up by id
+// and skip it.  The ASAN build catches a dangling Conn&.  A half-close
+// in the same state must still get every reply, then EOF.
+TEST(InProcessServer_, ResetOrHalfCloseWhileDirtyLeavesServerUp)
+{
+    InProcessServer s(/*shards=*/2, /*batch_limit=*/4, /*admin=*/false,
+                      /*publish_delay_ms=*/1);
+    std::string burst;
+    for (int i = 0; i < 400; ++i)
+        burst += "get dirty" + std::to_string(i % 37) + "\r\n";
+    for (int round = 0; round < 20; ++round) {
+        const int fd = dial_loopback(s.server->port());
+        ASSERT_TRUE(write_all_once(fd, burst));
+        std::this_thread::sleep_for(std::chrono::milliseconds(round % 4));
+        const linger reset = {1, 0}; // close() sends RST
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+        ::close(fd);
+    }
+    const int fd = dial_loopback(s.server->port());
+    ASSERT_TRUE(write_all_once(fd, burst));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    std::vector<net::MemcReply> got;
+    ASSERT_TRUE(read_replies(
+        fd, std::vector<net::MemcOp>(400, net::MemcOp::kGet), &got));
+    std::string tail;
+    EXPECT_TRUE(read_to_eof(fd, &tail)) << "no EOF after the replies";
+    EXPECT_EQ(tail, "");
+    ::close(fd);
+    MemcClient c;
+    ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
+    EXPECT_TRUE(c.set("after-resets", 4));
+}
+
+// Requests queued by a client that has gone are never executed: batch
+// pickup and stop() drop them.  With a 50 ms publish delay the 20 K
+// gets below would keep a draining stop() busy for about a minute.
+TEST(InProcessServer_, DeadConnectionWorkIsSkipped)
+{
+    auto s = std::make_unique<InProcessServer>(
+        /*shards=*/1, /*batch_limit=*/16, /*admin=*/false,
+        /*publish_delay_ms=*/50);
+    MemcClient live;
+    ASSERT_TRUE(
+        live.connect_retry("127.0.0.1", s->server->port(), 50, 10));
+    ASSERT_TRUE(live.set("live", 1));
+
+    const int fd = dial_loopback(s->server->port());
+    std::string burst;
+    for (int i = 0; i < 20000; ++i)
+        burst += "get gone\r\n";
+    size_t off = 0;
+    while (off < burst.size()) {
+        const ssize_t n =
+            ::write(fd, burst.data() + off, burst.size() - off);
+        ASSERT_GT(n, 0);
+        off += static_cast<size_t>(n);
+    }
+    // A plain close: the server reads all 20 K gets up to the EOF and
+    // queues them; the connection closes when a reply write fails.
+    ::close(fd);
+
+    // The live connection's requests sit behind the dead ones in the
+    // shard queue and are answered as before.
+    uint64_t v = 0;
+    ASSERT_TRUE(live.get("live", &v));
+    EXPECT_EQ(v, 1u);
+    EXPECT_TRUE(live.set("live", 2));
+    ASSERT_TRUE(live.get("live", &v));
+    EXPECT_EQ(v, 2u);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    s->stop();
+    const double stop_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_LT(stop_s, 3.0) << "stop drained dead work";
+    EXPECT_LT(s->server->requests_served(), 1000u)
+        << "the gone client's gets were executed";
 }
 
 // --------------------------------------------------------------------------
