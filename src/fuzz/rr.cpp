@@ -524,6 +524,8 @@ obj_kind_name(ObjKind kind)
         return "scenario";
       case ObjKind::kNetBatch:
         return "net_batch";
+      case ObjKind::kIdoLogPool:
+        return "ido_log_pool";
     }
     return "?";
 }

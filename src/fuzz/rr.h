@@ -75,6 +75,7 @@ enum class ObjKind : uint8_t
     kFaseLock,        ///< indirect lock; id = holder slot heap offset
     kScenario,        ///< scripted regression scenarios (fuzz driver)
     kNetBatch,        ///< group-commit batch-close order (one global)
+    kIdoLogPool,      ///< iDO log-record reuse pool (one per runtime)
 };
 
 constexpr uint64_t

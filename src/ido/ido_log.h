@@ -14,7 +14,12 @@
  *    safe: registers logged in the current region are consumed only by
  *    later regions, so flushing whole lines in slot order is fine.
  *  - lock_array + lock_bitmap: indirect lock holders owned by the
- *    thread (Sec. III-B), updated with a single fence per lock op.
+ *    thread (Sec. III-B), updated with a single fence per lock op
+ *    while the FASE's log is live.  They are exact only while
+ *    recovery_pc is active: locks taken before activation are
+ *    recorded at activation, and releases in a retired store-free
+ *    tail leave stale entries that the next activation rewrites
+ *    (ido_runtime.h).  Recovery reads them only for an active record.
  *
  * The record is laid out so each logically-distinct persist target sits
  * on its own cache line(s).

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <barrier>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -167,12 +168,16 @@ IdoRuntime::recover()
     // Post-condition: every record is inactive and no locks are held
     // (unless recovery itself was crash-injected, in which case the
     // next recovery pass finishes the job).
+    // The resumed records are inactive now: free for reuse, like the
+    // ones the constructor pooled.
     if (!crash_.crashed()) {
         for (uint64_t off : active) {
             auto* rec = heap_.resolve<IdoLogRec>(off);
             IDO_ASSERT(dom_.load_val(&rec->recovery_pc) == kInactivePc,
                        "recovery left an active FASE behind");
         }
+        std::lock_guard<std::mutex> g(pool_->mu);
+        pool_->recs.insert(pool_->recs.end(), active.begin(), active.end());
     }
 }
 

@@ -5,10 +5,22 @@
 
 #include "common/cacheline.h"
 #include "common/panic.h"
+#include "fuzz/rr.h"
 #include "stats/metrics.h"
 #include "trace/trace.h"
 
 namespace ido {
+
+namespace {
+
+/** Every lock_array slot (a reused record's lock words are unknown). */
+constexpr uint64_t kAllLockSlots = (1ull << kMaxHeldLocks) - 1;
+
+/** Pool turns are recorded sync ops: which thread gets which record
+ *  must replay exactly. */
+constexpr uint64_t kPoolKey = fuzz::obj_key(fuzz::ObjKind::kIdoLogPool);
+
+} // namespace
 
 using rt::RegionCtx;
 using rt::RegionMeta;
@@ -50,6 +62,14 @@ IdoRuntime::IdoRuntime(nvm::PersistentHeap& heap, nvm::PersistDomain& dom,
                        const rt::RuntimeConfig& cfg)
     : Runtime(heap, dom, cfg)
 {
+    // An inactive record has nothing to recover: it is free for reuse
+    // now, on a clean attach and on a crash attach alike.  Active ones
+    // join the pool when recover() has resumed them.
+    for (const uint64_t off : log_rec_offsets()) {
+        if (dom_.load_val(&heap_.resolve<IdoLogRec>(off)->recovery_pc)
+            == kInactivePc)
+            pool_->recs.push_back(off);
+    }
 }
 
 rt::RuntimeTraits
@@ -91,6 +111,17 @@ IdoRuntime::log_rec_offsets()
     return offs;
 }
 
+uint64_t
+IdoRuntime::take_pooled_rec()
+{
+    fuzz::rr::OrderedGuard g(pool_->mu, kPoolKey);
+    if (pool_->recs.empty())
+        return 0;
+    const uint64_t off = pool_->recs.back();
+    pool_->recs.pop_back();
+    return off;
+}
+
 std::unique_ptr<rt::RuntimeThread>
 IdoRuntime::make_thread()
 {
@@ -102,8 +133,16 @@ IdoRuntime::make_thread()
 // --------------------------------------------------------------------------
 
 IdoThread::IdoThread(IdoRuntime& rt)
-    : RuntimeThread(rt), rec_off_(rt.allocate_log_rec())
+    : RuntimeThread(rt), rec_off_(rt.take_pooled_rec()),
+      pool_(rt.rec_pool())
 {
+    if (rec_off_ != 0) {
+        // A reused record's lock words are whatever its last owner
+        // left; the first activation clears them (record_deferred_locks).
+        stale_ = kAllLockSlots;
+    } else {
+        rec_off_ = rt.allocate_log_rec();
+    }
     rec_ = heap().resolve<IdoLogRec>(rec_off_);
     pending_.reserve(32);
     trace::emit(trace::EventKind::kLogRecAttach, rec_off_,
@@ -119,6 +158,21 @@ IdoThread::IdoThread(IdoRuntime& rt, uint64_t existing_rec_off)
     activated_ = true; // an interrupted FASE was, by definition, live
     trace::emit(trace::EventKind::kLogRecAttach, rec_off_,
                 dom().load_val(&rec_->thread_tag));
+}
+
+IdoThread::~IdoThread()
+{
+    // Between FASEs with no pc flush outstanding, the durable pc is
+    // inactive and the record is free for the next thread.  A thread a
+    // crash unwound out of a FASE keeps it: recovery owns it now.
+    if (!pool_ || in_fase_ || pc_flush_pending_)
+        return;
+    try {
+        fuzz::rr::OrderedGuard g(pool_->mu, kPoolKey);
+        pool_->recs.push_back(rec_off_);
+    } catch (const rt::SimCrashException&) {
+        // A replay that diverged here: the record just stays unpooled.
+    }
 }
 
 uint64_t
@@ -186,6 +240,15 @@ IdoThread::fence_pending_pc()
     dom().fence();
     pc_flush_pending_ = false;
     marker_flush_pending_ = false; // same fence covers lock records
+    drain_parked_frees();
+}
+
+void
+IdoThread::drain_parked_frees()
+{
+    for (const uint64_t off : parked_frees_)
+        rt_.allocator().free_block(off, dom());
+    parked_frees_.clear();
 }
 
 void
@@ -217,6 +280,7 @@ IdoThread::end_persist_group()
         static std::atomic<uint64_t>& closes =
             group_metric("ido.group.close_fences");
         closes.fetch_add(1, std::memory_order_relaxed);
+        drain_parked_frees();
     }
 }
 
@@ -335,7 +399,14 @@ void
 IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
                            RegionCtx& ctx)
 {
-    if (activated_ || !prog.region(idx).may_store)
+    if (!prog.region(idx).may_store)
+        return;
+    if (retired_) {
+        panic("region '%s' of FASE '%s' may store after a store-free "
+              "region retired the log (metadata bug)",
+              prog.region(idx).name, prog.name);
+    }
+    if (activated_)
         return;
     // First potentially-storing region: record the locks the
     // store-free prefix took, persist every register any region
@@ -345,7 +416,12 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
     // records must be durable before the recovery_pc publish, or
     // recovery could resume a region without its lock: the live-in
     // fence orders them, and without live-ins an explicit fence does.
-    const bool deferred_locks = unrecorded_ != 0;
+    // Stale slots (locks an earlier retired tail released) are cleared
+    // under the same fence, so the live record names exactly the held
+    // locks.
+    const bool clears_stale =
+        (stale_ & ~(unrecorded_ | lock_bitmap_mirror_)) != 0;
+    const bool deferred_locks = unrecorded_ != 0 || stale_ != 0;
     if (deferred_locks)
         record_deferred_locks();
     RegionMeta args_meta{};
@@ -356,8 +432,10 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
     if (args_meta.out_int || args_meta.out_float) {
         persist_outputs(args_meta, ctx);
     } else if (deferred_locks) {
-        if (group_mode_) {
+        if (group_mode_ && !clears_stale) {
             // Thread-private locks (group contract), as in do_lock.
+            // A stale slot may name a lock some other FASE contends
+            // for, so clearing one keeps its fence.
             marker_flush_pending_ = true;
         } else {
             crash_tick();
@@ -383,17 +461,11 @@ IdoThread::on_region_boundary(const rt::FaseProgram& prog,
     // paths of Sec. V-A -- and this is why iDO "imposes minimal costs
     // on read paths".)
     if (!activated_) {
-        // Still in the read-only prefix: nothing persisted, nothing to
-        // order, no recovery_pc to advance.
+        // Still in the read-only prefix, or in a retired tail: nothing
+        // persisted, nothing to order, no recovery_pc to advance.
         IDO_ASSERT(pending_.empty());
         return;
     }
-    const rt::RegionMeta& meta = prog.region(finished_idx);
-    if (meta.out_int || meta.out_float || !pending_.empty())
-        persist_outputs(meta, ctx);
-    const uint64_t pc = (next_idx == rt::kRegionEnd)
-        ? kInactivePc
-        : pack_recovery_pc(prog.fase_id, next_idx);
     // The pc fence is deferrable (group mode) only when every region
     // still to run in this FASE is store-free: then nothing dirties the
     // heap while the flush is pending, and a dropped pc can only
@@ -408,7 +480,46 @@ IdoThread::on_region_boundary(const rt::FaseProgram& prog,
             }
         }
     }
+    if (tail_read_only && next_idx != rt::kRegionEnd
+        && rt_.config().lazy_lock_records) {
+        // Early retirement, the mirror of lazy activation: a crash in
+        // a store-free tail loses nothing recovery could tell apart
+        // from the FASE having completed, so the tail needs no
+        // resumption point.  Fence the finished region's heap lines
+        // (its register outputs feed only the tail, which is never
+        // resumed; a crash before the pc lands resumes the finished
+        // region itself, from its already-durable entry state), then
+        // publish the inactive pc.  The tail's unlocks then write no
+        // record and its boundaries persist nothing.
+        if (!pending_.empty())
+            persist_outputs(RegionMeta{}, ctx);
+        advance_recovery_pc(kInactivePc, /*tail_read_only=*/true);
+        activated_ = false;
+        retired_ = true;
+        return;
+    }
+    const rt::RegionMeta& meta = prog.region(finished_idx);
+    if (meta.out_int || meta.out_float || !pending_.empty())
+        persist_outputs(meta, ctx);
+    const uint64_t pc = (next_idx == rt::kRegionEnd)
+        ? kInactivePc
+        : pack_recovery_pc(prog.fase_id, next_idx);
     advance_recovery_pc(pc, tail_read_only);
+}
+
+void
+IdoThread::on_fase_end(const rt::FaseProgram&, RegionCtx&)
+{
+    // Group mode can end a FASE with its inactive pc flushed but not
+    // fenced.  Its frees wait for that fence: a FREEING mark persisting
+    // next to a dropped pc would let recovery re-run the freeing
+    // region and free the block again.
+    if (pc_flush_pending_) {
+        parked_frees_.insert(parked_frees_.end(), deferred_frees_.begin(),
+                             deferred_frees_.end());
+        deferred_frees_.clear();
+    }
+    retired_ = false;
 }
 
 void
@@ -460,6 +571,17 @@ IdoThread::record_deferred_locks()
         dom().store_val(&rec_->lock_array[h.slot], h.holder_off);
         high_line |= h.slot >= 7;
     }
+    // Zero the stale slots no unrecorded lock overwrote: the bitmap
+    // rewrite below already drops their bits, and a zero entry keeps a
+    // later torn record (bit persisted, entry not) from naming the
+    // released lock.
+    for (uint64_t left = stale_ & ~(unrecorded_ | lock_bitmap_mirror_);
+         left != 0; left &= left - 1) {
+        const auto slot = static_cast<size_t>(__builtin_ctzll(left));
+        dom().store_val(&rec_->lock_array[slot], uint64_t{0});
+        high_line |= slot >= 7;
+    }
+    stale_ = 0;
     lock_bitmap_mirror_ |= unrecorded_;
     unrecorded_ = 0;
     dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
@@ -493,6 +615,7 @@ IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
         return;
     }
     lock_bitmap_mirror_ |= 1ull << slot;
+    stale_ &= ~(1ull << slot);
     dom().store_val(&rec_->lock_array[slot], holder_off);
     dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
     // Bitmap and low array slots share a cache line: one write-back
@@ -530,6 +653,17 @@ IdoThread::do_unlock(uint64_t holder_off, rt::TransientLock& l)
     if (unrecorded_ & (1ull << slot)) {
         // Released before activation: no record names it.
         unrecorded_ &= ~(1ull << slot);
+        crash_tick();
+        l.unlock();
+        return;
+    }
+    if (retired_) {
+        // Retired tail: the durable pc is inactive (fenced, or in group
+        // mode trailing with the batch), so recovery ignores the record
+        // and the stale entry costs nothing until the next activation
+        // clears it.
+        lock_bitmap_mirror_ &= ~(1ull << slot);
+        stale_ |= 1ull << slot;
         crash_tick();
         l.unlock();
         return;

@@ -70,12 +70,17 @@ struct RuntimeConfig
     bool flush_elision = true;
 
     /**
-     * iDO: a lock taken before the FASE's log activates writes no
-     * ownership record until activation, which records every such
-     * lock under the activation's own fence; a store-free FASE then
-     * takes and releases its locks with no flush and no fence.  Off:
-     * every lock operation records ownership with its own fence (the
-     * paper's Sec. III-B protocol), for the paper-faithful bench rows.
+     * iDO: keep the log live only between a FASE's first and last
+     * potentially-storing region.  At the front, a lock taken before
+     * the log activates writes no ownership record until activation,
+     * which records every such lock under the activation's own fence;
+     * a store-free FASE then takes and releases its locks with no
+     * flush and no fence.  At the back, the boundary into a store-free
+     * tail retires the log: it publishes the inactive recovery_pc, and
+     * the tail's unlocks and the FASE end pay no flush and no fence.
+     * Off: every lock operation records ownership with its own fence
+     * and every boundary advances the pc (the paper's Sec. III-B
+     * protocol), for the paper-faithful bench rows.
      */
     bool lazy_lock_records = true;
 

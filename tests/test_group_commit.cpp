@@ -31,6 +31,7 @@
 
 #include "apps/memcached_mini.h"
 #include "common/panic.h"
+#include "common/rng.h"
 #include "fuzz/rr.h"
 #include "ido/ido_runtime.h"
 #include "net/group_commit.h"
@@ -122,86 +123,94 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
          {nvm::CrashPolicy::kDropAll, nvm::CrashPolicy::kPersistAll,
           nvm::CrashPolicy::kRandom}) {
         int completed_at = -1;
-        for (int64_t fuse = 1; fuse < 100000; ++fuse) {
-            nvm::PersistentHeap heap({.size = 32u << 20});
-            nvm::ShadowDomain shadow(heap.base(), heap.size(),
-                                     static_cast<uint64_t>(fuse) * 17 + 3);
-            rt::RuntimeConfig cfg;
-            cfg.check_contracts = true;
-            auto runtime = std::make_unique<IdoRuntime>(heap, shadow, cfg);
+        for (int64_t fuse = 1; fuse < 100000 && completed_at < 0; ++fuse) {
+            // kRandom splits each crash's outstanding lines by seed: a
+            // fixed draw per fuse, plus one IDO_SEED steers, so repeated
+            // runs under new IDO_SEEDs cover new line outcomes.
+            std::vector<uint64_t> seeds = {
+                static_cast<uint64_t>(fuse) * 17 + 3};
+            if (policy == nvm::CrashPolicy::kRandom)
+                seeds.push_back(mix_seed(0x6c0c0000u + fuse));
+            for (const uint64_t seed : seeds) {
+                nvm::PersistentHeap heap({.size = 32u << 20});
+                nvm::ShadowDomain shadow(heap.base(), heap.size(), seed);
+                rt::RuntimeConfig cfg;
+                cfg.check_contracts = true;
+                auto runtime = std::make_unique<IdoRuntime>(heap, shadow, cfg);
 
-            uint64_t root;
-            {
-                auto setup = runtime->make_thread();
-                root = MemcachedMini::create(*setup, 1, 64);
-                MemcachedMini cache(heap, root);
-                for (const auto& [i, v] : before) {
-                    auto [lo, hi] = net::memc_key_words(key_name(i));
-                    cache.set(*setup, lo, hi, v);
+                uint64_t root;
+                {
+                    auto setup = runtime->make_thread();
+                    root = MemcachedMini::create(*setup, 1, 64);
+                    MemcachedMini cache(heap, root);
+                    for (const auto& [i, v] : before) {
+                        auto [lo, hi] = net::memc_key_words(key_name(i));
+                        cache.set(*setup, lo, hi, v);
+                    }
                 }
-            }
-            shadow.drain_all();
+                shadow.drain_all();
 
-            bool crashed = false;
-            {
+                bool crashed = false;
+                {
+                    auto th = runtime->make_thread();
+                    MemcachedMini cache(heap, root);
+                    GroupCommit committer(*th, /*batch_limit=*/16,
+                                          /*shard_index=*/0);
+                    std::vector<ShardReply> replies;
+                    runtime->crash_scheduler().arm(fuse);
+                    try {
+                        committer.run_batch(
+                            scripted_batch(),
+                            [&](const ShardJob& j) {
+                                return exec_job(cache, *th, j);
+                            },
+                            &replies);
+                    } catch (const rt::SimCrashException&) {
+                        crashed = true;
+                    }
+                    runtime->crash_scheduler().disarm();
+                }
+                if (!crashed) {
+                    completed_at = static_cast<int>(fuse);
+                    break;
+                }
+                shadow.crash(policy);
+
+                runtime = std::make_unique<IdoRuntime>(heap, shadow, cfg);
+                MemcachedMini::register_programs();
+                runtime->recover();
+                shadow.drain_all();
+                ASSERT_TRUE(MemcachedMini::check_invariants(heap, root))
+                    << "policy " << static_cast<int>(policy) << " fuse "
+                    << fuse << " seed " << seed;
+
                 auto th = runtime->make_thread();
                 MemcachedMini cache(heap, root);
-                GroupCommit committer(*th, /*batch_limit=*/16,
-                                      /*shard_index=*/0);
-                std::vector<ShardReply> replies;
-                runtime->crash_scheduler().arm(fuse);
-                try {
-                    committer.run_batch(
-                        scripted_batch(),
-                        [&](const ShardJob& j) {
-                            return exec_job(cache, *th, j);
-                        },
-                        &replies);
-                } catch (const rt::SimCrashException&) {
-                    crashed = true;
+                for (const auto& [i, new_val] : after) {
+                    auto [lo, hi] = net::memc_key_words(key_name(i));
+                    uint64_t v = 0;
+                    const bool present = cache.get(*th, lo, hi, &v);
+                    auto b = before.find(i);
+                    const bool old_ok =
+                        (b == before.end()) ? !present
+                                            : (present && v == b->second);
+                    const bool new_ok =
+                        !new_val.has_value() ? !present
+                                             : (present && v == *new_val);
+                    EXPECT_TRUE(old_ok || new_ok)
+                        << "key " << i << " neither old nor new after crash"
+                        << " (present=" << present << " v=" << v
+                        << ", policy " << static_cast<int>(policy)
+                        << ", fuse " << fuse << ", seed " << seed << ")";
                 }
-                runtime->crash_scheduler().disarm();
+                // Liveness probe: a leaked lock from a stale group-mode
+                // ownership record would deadlock this FASE.
+                auto [plo, phi] = net::memc_key_words("probe");
+                cache.set(*th, plo, phi, 777);
+                uint64_t pv = 0;
+                EXPECT_TRUE(cache.get(*th, plo, phi, &pv));
+                EXPECT_EQ(pv, 777u);
             }
-            if (!crashed) {
-                completed_at = static_cast<int>(fuse);
-                break;
-            }
-            shadow.crash(policy);
-
-            runtime = std::make_unique<IdoRuntime>(heap, shadow, cfg);
-            MemcachedMini::register_programs();
-            runtime->recover();
-            shadow.drain_all();
-            ASSERT_TRUE(MemcachedMini::check_invariants(heap, root))
-                << "policy " << static_cast<int>(policy) << " fuse "
-                << fuse;
-
-            auto th = runtime->make_thread();
-            MemcachedMini cache(heap, root);
-            for (const auto& [i, new_val] : after) {
-                auto [lo, hi] = net::memc_key_words(key_name(i));
-                uint64_t v = 0;
-                const bool present = cache.get(*th, lo, hi, &v);
-                auto b = before.find(i);
-                const bool old_ok =
-                    (b == before.end()) ? !present
-                                        : (present && v == b->second);
-                const bool new_ok =
-                    !new_val.has_value() ? !present
-                                         : (present && v == *new_val);
-                EXPECT_TRUE(old_ok || new_ok)
-                    << "key " << i << " neither old nor new after crash"
-                    << " (present=" << present << " v=" << v
-                    << ", policy " << static_cast<int>(policy)
-                    << ", fuse " << fuse << ")";
-            }
-            // Liveness probe: a leaked lock from a stale group-mode
-            // ownership record would deadlock this FASE.
-            auto [plo, phi] = net::memc_key_words("probe");
-            cache.set(*th, plo, phi, 777);
-            uint64_t pv = 0;
-            EXPECT_TRUE(cache.get(*th, plo, phi, &pv));
-            EXPECT_EQ(pv, 777u);
         }
         EXPECT_GT(completed_at, 30)
             << "batch has suspiciously few crash points (policy "

@@ -1,10 +1,11 @@
 /**
  * @file
- * Protocol-level tests for iDO normal execution: log-record lifecycle,
- * recovery_pc sequencing, fence economy (two per boundary with outputs,
- * one without; one per lock operation once the log is live, none for a
- * lock taken or released in the store-free prefix), persist coalescing
- * of register outputs, and lock_array maintenance.
+ * Protocol-level tests for iDO normal execution: log-record lifecycle
+ * and reuse, recovery_pc sequencing, fence economy (two per boundary
+ * with outputs, one without; one per lock operation while the log is
+ * live, none for a lock taken or released in the store-free prefix or
+ * the retired store-free tail), persist coalescing of register
+ * outputs, and lock_array maintenance.
  */
 #include <gtest/gtest.h>
 
@@ -33,6 +34,44 @@ struct IdoFixture : public ::testing::Test
     IdoRuntime runtime;
 };
 
+/**
+ * A one-region FASE that may store and takes no lock: its activation
+ * must leave the durable lock record naming nothing.  Snapshots the
+ * record of `probe` from inside the live region.
+ */
+struct ActivationProbe
+{
+    static inline IdoThread* probe = nullptr;
+    static inline uint64_t bitmap = ~0ull;
+    static inline uint64_t array0 = ~0ull;
+
+    static const rt::FaseProgram&
+    program()
+    {
+        static const rt::FaseProgram prog = [] {
+            auto peek = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+                bitmap = probe->rec()->lock_bitmap;
+                array0 = probe->rec()->lock_array[0];
+                return rt::kRegionEnd;
+            };
+            rt::FaseProgram p;
+            p.fase_id = 9007;
+            p.name = "activation_probe";
+            p.regions = {{peek, "peek", 0, 0, 0, 0, 1}};
+            return p;
+        }();
+        return prog;
+    }
+
+    static void
+    run(rt::RuntimeThread& th)
+    {
+        probe = static_cast<IdoThread*>(&th);
+        rt::RegionCtx ctx;
+        th.run_fase(program(), ctx);
+    }
+};
+
 TEST_F(IdoFixture, LogRecLinkedOnThreadCreation)
 {
     EXPECT_TRUE(runtime.log_rec_offsets().empty());
@@ -41,6 +80,58 @@ TEST_F(IdoFixture, LogRecLinkedOnThreadCreation)
     auto t2 = runtime.make_thread();
     EXPECT_EQ(runtime.log_rec_offsets().size(), 2u);
     // "the number of iDO logs matches the number of threads created"
+}
+
+TEST_F(IdoFixture, ExitedThreadsRecordsAreReused)
+{
+    // Thread churn must not grow the persistent list: a record returns
+    // to the pool when its thread exits between FASEs.
+    ds::PStack stack(ds::PStack::create(*runtime.make_thread()));
+    for (int i = 0; i < 1000; ++i) {
+        auto a = runtime.make_thread();
+        auto b = runtime.make_thread();
+        stack.push(*a, static_cast<uint64_t>(i));
+        stack.push(*b, static_cast<uint64_t>(i));
+    }
+    EXPECT_LE(runtime.log_rec_offsets().size(), 2u);
+}
+
+TEST_F(IdoFixture, ReusedRecordActivatesWithNoStaleLock)
+{
+    // A reused record's lock words are whatever its last owner left:
+    // here, the retired tail's release of the stack lock.  The next
+    // owner's first activation must record exactly its own locks.
+    uint64_t off = 0;
+    {
+        auto th = runtime.make_thread();
+        off = static_cast<IdoThread*>(th.get())->rec_off();
+        ds::PStack stack(ds::PStack::create(*th));
+        stack.push(*th, 1);
+        EXPECT_NE(static_cast<IdoThread*>(th.get())->rec()->lock_bitmap,
+                  0u);
+    }
+    auto th = runtime.make_thread();
+    ASSERT_EQ(static_cast<IdoThread*>(th.get())->rec_off(), off);
+    ActivationProbe::run(*th);
+    EXPECT_EQ(ActivationProbe::bitmap, 0u);
+    EXPECT_EQ(ActivationProbe::array0, 0u);
+}
+
+TEST_F(IdoFixture, ThreadUnwoundMidFaseKeepsItsRecord)
+{
+    // A crash that unwinds a thread out of a FASE leaves its record to
+    // recovery: the next thread must not reuse it.
+    uint64_t off = 0;
+    {
+        auto th = runtime.make_thread();
+        off = static_cast<IdoThread*>(th.get())->rec_off();
+        ds::PStack stack(ds::PStack::create(*th));
+        runtime.crash_scheduler().arm(3);
+        EXPECT_THROW(stack.push(*th, 1), rt::SimCrashException);
+        runtime.crash_scheduler().disarm();
+    }
+    auto th = runtime.make_thread();
+    EXPECT_NE(static_cast<IdoThread*>(th.get())->rec_off(), off);
 }
 
 TEST_F(IdoFixture, FreshRecIsInactive)
@@ -57,8 +148,15 @@ TEST_F(IdoFixture, RecoveryPcInactiveAfterFase)
     auto* ido_th = static_cast<IdoThread*>(th.get());
     ds::PStack stack(ds::PStack::create(*th));
     stack.push(*th, 42);
+    // The push retired its log before the unlock region: the pc is
+    // inactive and no lock is held, while the durable record may still
+    // name the released lock until the next activation rewrites it.
     EXPECT_EQ(ido_th->rec()->recovery_pc, kInactivePc);
-    EXPECT_EQ(ido_th->rec()->lock_bitmap, 0u);
+    EXPECT_EQ(ido_th->lock_mirror(), 0u);
+    ActivationProbe::run(*th);
+    EXPECT_EQ(ActivationProbe::bitmap, 0u);
+    EXPECT_EQ(ActivationProbe::array0, 0u);
+    EXPECT_EQ(ido_th->rec()->recovery_pc, kInactivePc);
 }
 
 TEST_F(IdoFixture, RecoveryPcTracksRegions)
@@ -170,12 +268,13 @@ TEST_F(IdoFixture, StackPushFenceBudget)
     tls_persist_counters().clear();
     stack.push(*th, 2);
     // The acquire runs in the store-free lock region, so its record
-    // rides the activation: activation(2: args+pc) + build(2)
-    // + publish(2) + unlock(1) + final(1) = 8 fences; the release pays
-    // one.  The allocator adds its own internal fences (one per push
-    // here), so bound it.
-    EXPECT_GE(tls_persist_counters().fences, 9u);
-    EXPECT_LE(tls_persist_counters().fences, 13u);
+    // rides the activation; the publish boundary retires the log ahead
+    // of the store-free unlock region: activation(2: args+pc)
+    // + build(2) + publish(2: heap lines + inactive pc) = 6 fences, and
+    // the release and the FASE end pay none.  The allocator adds its
+    // own internal fences (one per push here), so bound it.
+    EXPECT_GE(tls_persist_counters().fences, 7u);
+    EXPECT_LE(tls_persist_counters().fences, 11u);
     tls_persist_counters().clear();
 }
 
@@ -301,14 +400,27 @@ TEST(IdoLazyLockRecords, DeleteMissCostsNoFence)
     EXPECT_EQ(c.fences, 0u);
 }
 
-TEST(IdoLazyLockRecords, SetHitCostsSixFences)
+TEST(IdoLazyLockRecords, SetHitCostsFourFences)
 {
-    // The acquire's record joins the activation's live-in fence:
-    // activation(2) + update boundary(2) + unlock(1) + final(1).
+    // The acquire's record joins the activation's live-in fence, and
+    // the update boundary retires the log ahead of the unlock region:
+    // activation(2) + update boundary(2: heap line + inactive pc).  The
+    // unlock and the FASE end pay nothing (6 before retirement).
     const McCost c = memcached_cost(true, [](auto& cache, auto& th) {
         cache.set(th, 1, 1, 11);
     });
-    EXPECT_EQ(c.fences, 6u);
+    EXPECT_EQ(c.fences, 4u);
+}
+
+TEST(IdoLazyLockRecords, DeleteHitCostsFourFences)
+{
+    // activation(2) + unlink boundary(2: heap lines + inactive pc); the
+    // deferred free pays no fence of its own.  6 before retirement:
+    // the unlock's record and the FASE-end pc paid one each.
+    const McCost c = memcached_cost(true, [](auto& cache, auto& th) {
+        EXPECT_TRUE(cache.del(th, 1, 1));
+    });
+    EXPECT_EQ(c.fences, 4u);
 }
 
 TEST(IdoLazyLockRecords, EagerRecordsKeepThePerLockOpFences)
@@ -324,6 +436,11 @@ TEST(IdoLazyLockRecords, EagerRecordsKeepThePerLockOpFences)
         cache.set(th, 1, 1, 11);
     });
     EXPECT_EQ(set.fences, 7u);
+    // ... and no early retirement: the unlock and FASE-end fences stay.
+    const McCost del = memcached_cost(false, [](auto& cache, auto& th) {
+        EXPECT_TRUE(cache.del(th, 1, 1));
+    });
+    EXPECT_EQ(del.fences, 7u);
 }
 
 TEST_F(IdoFixture, LazyRecordsLandAtActivation)
@@ -369,11 +486,55 @@ TEST_F(IdoFixture, LazyRecordsLandAtActivation)
     EXPECT_EQ(bitmap_before, 0u);
     EXPECT_EQ(bitmap_after, 1u);
     EXPECT_EQ(array0_after, holder);
-    EXPECT_EQ(probe->rec()->lock_bitmap, 0u);
-    // No live-ins: the records get their own fence ahead of the pc's,
-    // so activation(2) + s boundary(1) + unlock(1) + final(1).
-    EXPECT_EQ(tls_persist_counters().fences, 5u);
+    // s stored nothing and only the store-free unlock follows, so its
+    // boundary retires the log with the inactive pc's fence alone:
+    // activation(2: records, then pc) + retirement(1).  The unlock
+    // writes no record and the FASE end no pc (5 before retirement).
+    EXPECT_EQ(tls_persist_counters().fences, 3u);
     tls_persist_counters().clear();
+    EXPECT_EQ(probe->rec()->recovery_pc, kInactivePc);
+    EXPECT_EQ(probe->lock_mirror(), 0u);
+
+    // The next activation records exactly the held locks: the same
+    // lock again, then none (the stale slot zeroed).
+    bitmap_after = array0_after = 0;
+    th->run_fase(p, ctx);
+    EXPECT_EQ(bitmap_after, 1u);
+    EXPECT_EQ(array0_after, holder);
+    ActivationProbe::run(*th);
+    EXPECT_EQ(ActivationProbe::bitmap, 0u);
+    EXPECT_EQ(ActivationProbe::array0, 0u);
+    tls_persist_counters().clear();
+}
+
+TEST(IdoEarlyRetirementDeathTest, StoringRegionAfterRetirementPanics)
+{
+    // Region 1 is the only region at or past index 1 and is store-free,
+    // so the boundary 0 -> 1 retires the log; jumping back to the
+    // storing region 0 is a metadata bug, caught before it stores.
+    static int passes;
+    auto store = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+        return 1;
+    };
+    auto back = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+        return passes++ == 0 ? 0 : rt::kRegionEnd;
+    };
+    rt::FaseProgram p;
+    p.fase_id = 9008;
+    p.name = "loop_back";
+    p.regions = {{store, "store", 0, 0, 0, 0, 1},
+                 {back, "back", 0, 0, 0, 0, 0}};
+    EXPECT_DEATH(
+        {
+            nvm::PersistentHeap heap({.size = 16u << 20});
+            nvm::RealDomain dom;
+            IdoRuntime runtime(heap, dom, rt::RuntimeConfig{});
+            auto th = runtime.make_thread();
+            passes = 0;
+            rt::RegionCtx ctx;
+            th->run_fase(p, ctx);
+        },
+        "may store after a store-free region retired the log");
 }
 
 TEST_F(IdoFixture, TraitsMatchTableTwo)

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/memcached_mini.h"
 #include "ds/fase_ids.h"
 #include "ds/queue.h"
 #include "ds/stack.h"
@@ -287,6 +288,44 @@ TEST(IdoRecovery, CleanRunNeedsNoRecoveryWork)
     const auto snap = ds::PStack::snapshot(world.heap, stack.root_off());
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0], 9u);
+}
+
+TEST(IdoRecovery, RecoveredRecordsAreReused)
+{
+    // Two threads crash mid-push (on two stacks, so neither waits for
+    // the other's lock), leaving both records active.  Once recovery
+    // has resumed them they are free for reuse: the restarted process's
+    // threads take them instead of linking new ones.
+    RecoveryWorld world(8);
+    auto setup = world.runtime->make_thread();
+    ds::PStack s1(ds::PStack::create(*setup));
+    ds::PStack s2(ds::PStack::create(*setup));
+    world.shadow.drain_all();
+    setup.reset();
+    auto a = world.runtime->make_thread();
+    auto b = world.runtime->make_thread();
+    const size_t linked = world.runtime->log_rec_offsets().size();
+    ASSERT_EQ(linked, 2u);
+    // The tenth tick falls after each push's activation fence.
+    for (auto [th, stack] : {std::pair{a.get(), &s1}, {b.get(), &s2}}) {
+        ASSERT_TRUE(run_with_crash_at(world, 10, [&] {
+            stack->push(*th, 1);
+        }));
+        EXPECT_NE(static_cast<IdoThread*>(th)->rec()->recovery_pc,
+                  kInactivePc);
+    }
+    world.crash_and_recover(CrashPolicy::kPersistAll);
+    a.reset();
+    b.reset();
+    {
+        auto c = world.runtime->make_thread();
+        auto d = world.runtime->make_thread();
+        s1.push(*c, 2);
+        s2.push(*d, 2);
+    }
+    EXPECT_EQ(world.runtime->log_rec_offsets().size(), linked);
+    EXPECT_EQ(ds::PStack::snapshot(world.heap, s1.root_off()).size(), 2u);
+    EXPECT_EQ(ds::PStack::snapshot(world.heap, s2.root_off()).size(), 2u);
 }
 
 TEST(IdoRecovery, TimelineReportsTheAttachTimeLeakReclaim)
@@ -687,6 +726,377 @@ TEST(IdoLazyLockRecovery, CrashBetweenRecordFlushAndActivationFence)
             window += stray[0].count(k) == 0;
         EXPECT_GT(window, 0) << prog->name;
     }
+}
+
+// --------------------------------------------------------------------------
+// Early retirement (ido_runtime.h): once only store-free regions remain,
+// the boundary into that tail publishes the inactive pc and the tail's
+// releases write no record.  Each sweep below runs every ShadowDomain
+// policy and kRandom over many seeds.
+// --------------------------------------------------------------------------
+
+constexpr uint32_t kFaseRetireWriter = 9104;
+constexpr uint32_t kFaseParkedPeer = 9105;
+constexpr uint32_t kFaseUnlockedWrite = 9106;
+
+struct RetireProbe
+{
+    uint64_t holder = 0; ///< the contended lock L
+    uint64_t word = 0;   ///< written under L
+    uint64_t peer_word = 0;
+    uint64_t free_word = 0; ///< written with no lock held
+    std::atomic<bool> park_release{false};
+    std::atomic<bool> parked{false};
+    /** Set once `watch` holds L inside retire_writer_program. */
+    std::atomic<rt::RuntimeThread*> watch{nullptr};
+    std::atomic<bool> watch_locked{false};
+};
+
+RetireProbe g_retire;
+
+/** lock L -> store `word` = ctx.r[0] under L -> unlock L.  The store
+ *  region's boundary retires the log ahead of the unlock region. */
+const rt::FaseProgram&
+retire_writer_program()
+{
+    static const rt::FaseProgram prog = [] {
+        auto lock = +[](rt::RuntimeThread& th, rt::RegionCtx&) -> uint32_t {
+            th.fase_lock(g_retire.holder);
+            if (&th == g_retire.watch.load())
+                g_retire.watch_locked = true;
+            return 1;
+        };
+        auto write = +[](rt::RuntimeThread& th,
+                         rt::RegionCtx& ctx) -> uint32_t {
+            th.store_u64(g_retire.word, ctx.r[0]);
+            return 2;
+        };
+        auto unlock = +[](rt::RuntimeThread& th,
+                          rt::RegionCtx&) -> uint32_t {
+            th.fase_unlock(g_retire.holder);
+            return rt::kRegionEnd;
+        };
+        rt::FaseProgram p;
+        p.fase_id = kFaseRetireWriter;
+        p.name = "probe.retire_writer";
+        p.regions = {{lock, "lock", 0, 0, 0, 0, 0},
+                     {write, "write", 1u << 0, 0, 0, 0, 1},
+                     {unlock, "unlock", 0, 0, 0, 0, 0}};
+        return p;
+    }();
+    return prog;
+}
+
+/** lock L -> store `peer_word` -> park (may store, so the log stays
+ *  live) until released, then die like a crashed thread -> unlock. */
+const rt::FaseProgram&
+parked_peer_program()
+{
+    static const rt::FaseProgram prog = [] {
+        auto lock = +[](rt::RuntimeThread& th, rt::RegionCtx&) -> uint32_t {
+            th.fase_lock(g_retire.holder);
+            return 1;
+        };
+        auto write = +[](rt::RuntimeThread& th,
+                         rt::RegionCtx&) -> uint32_t {
+            th.store_u64(g_retire.peer_word, 2);
+            return 2;
+        };
+        auto park = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+            if (!g_retire.park_release.load()) {
+                g_retire.parked = true;
+                while (!g_retire.park_release.load())
+                    std::this_thread::yield();
+                throw rt::SimCrashException{};
+            }
+            return 3; // resumed by recovery
+        };
+        auto unlock = +[](rt::RuntimeThread& th,
+                          rt::RegionCtx&) -> uint32_t {
+            th.fase_unlock(g_retire.holder);
+            return rt::kRegionEnd;
+        };
+        rt::FaseProgram p;
+        p.fase_id = kFaseParkedPeer;
+        p.name = "probe.parked_peer";
+        p.regions = {{lock, "lock", 0, 0, 0, 0, 0},
+                     {write, "write", 0, 0, 0, 0, 1},
+                     {park, "park", 0, 0, 0, 0, 1},
+                     {unlock, "unlock", 0, 0, 0, 0, 0}};
+        return p;
+    }();
+    return prog;
+}
+
+/** One storing region, no lock. */
+const rt::FaseProgram&
+unlocked_write_program()
+{
+    static const rt::FaseProgram prog = [] {
+        auto write = +[](rt::RuntimeThread& th,
+                         rt::RegionCtx&) -> uint32_t {
+            th.store_u64(g_retire.free_word, 2);
+            return rt::kRegionEnd;
+        };
+        rt::FaseProgram p;
+        p.fase_id = kFaseUnlockedWrite;
+        p.name = "probe.unlocked_write";
+        p.regions = {{write, "write", 0, 0, 0, 0, 1}};
+        return p;
+    }();
+    return prog;
+}
+
+/** A world with the retirement probes registered and their words
+ *  durable (word = peer_word = free_word = 1, L free). */
+void
+setup_retire_world(RecoveryWorld& world)
+{
+    for (const rt::FaseProgram* p :
+         {&retire_writer_program(), &parked_peer_program(),
+          &unlocked_write_program()})
+        rt::FaseRegistry::instance().register_program(p);
+    auto setup = world.runtime->make_thread();
+    g_retire.holder = world.runtime->allocator().alloc(8, world.shadow);
+    const uint64_t words =
+        world.runtime->allocator().alloc(3 * kCacheLineBytes, world.shadow);
+    g_retire.word = words;
+    g_retire.peer_word = words + kCacheLineBytes;
+    g_retire.free_word = words + 2 * kCacheLineBytes;
+    setup->store_u64(g_retire.holder, 0);
+    for (const uint64_t w :
+         {g_retire.word, g_retire.peer_word, g_retire.free_word})
+        setup->store_u64(w, 1);
+    world.shadow.drain_all();
+}
+
+bool
+retire_lock_free(RecoveryWorld& world)
+{
+    rt::TransientLock& l = world.runtime->locks().lock_for(
+        world.heap.resolve<uint64_t>(g_retire.holder));
+    if (!l.try_lock())
+        return false;
+    l.unlock();
+    return true;
+}
+
+uint64_t
+retire_word(RecoveryWorld& world, uint64_t off)
+{
+    return *world.heap.resolve<uint64_t>(off);
+}
+
+/**
+ * Run `body` under each policy (kRandom over 32 seeds), crashing at
+ * every tick k and, once the body outlives the fuse, once more at its
+ * end.  `body(world, k)` arms the fuse itself and returns whether it
+ * ran to completion.
+ */
+template <typename Body>
+void
+retire_sweep(uint64_t seed_base, Body&& body)
+{
+    std::vector<std::pair<CrashPolicy, uint64_t>> runs = {
+        {CrashPolicy::kDropAll, 0}, {CrashPolicy::kPersistAll, 0}};
+    for (uint64_t s = 0; s < 32; ++s)
+        runs.emplace_back(CrashPolicy::kRandom, s);
+    for (const auto& [policy, s] : runs) {
+        for (int64_t k = 1; k < 400; ++k) {
+            if (!body(policy, seed_base + 1000 * s + k, k))
+                break;
+        }
+    }
+}
+
+TEST(IdoEarlyRetirement, ReleasedLockWaitsForTheInactivePc)
+{
+    // T1 retires its log and releases L; T2, on another hardware
+    // thread (its fences do not cover T1's lines), then takes L and
+    // stores under it.  Once T2 holds L, T1's durable pc must be
+    // inactive: otherwise recovery would resume T1's store region
+    // over T2's newer value, or reacquire L against T2's record.
+    retire_sweep(31000, [](CrashPolicy policy, uint64_t seed, int64_t k) {
+        RecoveryWorld world(seed);
+        setup_retire_world(world);
+        std::atomic<bool> t2_done{false};
+        bool t1_done = false;
+        uint64_t t1_rec = 0;
+        {
+            auto t1 = world.runtime->make_thread();
+            auto t2 = world.runtime->make_thread();
+            t1_rec = static_cast<IdoThread*>(t1.get())->rec_off();
+            g_retire.watch = t2.get();
+            g_retire.watch_locked = false;
+            world.runtime->crash_scheduler().arm(k);
+            try {
+                rt::RegionCtx ctx;
+                ctx.r[0] = 2;
+                t1->run_fase(retire_writer_program(), ctx);
+                t1_done = true;
+            } catch (const rt::SimCrashException&) {
+            }
+            if (t1_done) {
+                std::thread other([&] {
+                    try {
+                        rt::RegionCtx ctx;
+                        ctx.r[0] = 3;
+                        t2->run_fase(retire_writer_program(), ctx);
+                        t2_done = true;
+                    } catch (const rt::SimCrashException&) {
+                    }
+                });
+                other.join();
+            }
+            world.runtime->crash_scheduler().disarm();
+        }
+        const bool fuse_left = t2_done.load();
+        world.shadow.crash(policy);
+        const uint64_t pc =
+            world.heap.resolve<IdoLogRec>(t1_rec)->recovery_pc;
+        if (g_retire.watch_locked) {
+            EXPECT_EQ(pc, kInactivePc)
+                << "T1's log is live after T2 took its released lock, k="
+                << k << " policy " << static_cast<int>(policy);
+            if (pc != kInactivePc)
+                return false; // recovery could deadlock
+        }
+        world.make_runtime();
+        world.runtime->recover();
+        world.shadow.drain_all();
+        EXPECT_TRUE(retire_lock_free(world)) << "k=" << k;
+        const uint64_t w = retire_word(world, g_retire.word);
+        if (t2_done) {
+            EXPECT_EQ(w, 3u) << "T2's acknowledged store lost, k=" << k
+                             << " policy " << static_cast<int>(policy);
+        } else if (t1_done) {
+            EXPECT_TRUE(w == 2 || w == 3) << "k=" << k;
+        } else {
+            EXPECT_TRUE(w == 1 || w == 2) << "k=" << k;
+        }
+        return !fuse_left;
+    });
+}
+
+TEST(IdoEarlyRetirement, StaleLockNotReacquiredAfterNextActivation)
+{
+    // FASE A retires holding L and releases it, so T's durable record
+    // still names L.  A peer then takes L and dies mid-FASE, its record
+    // naming L.  T's next FASE B activates without L and crashes:
+    // recovery must reacquire exactly B's locks (none) -- reacquiring
+    // L for T would deadlock against the peer's recovery thread.
+    retire_sweep(47000, [](CrashPolicy policy, uint64_t seed, int64_t k) {
+        RecoveryWorld world(seed);
+        setup_retire_world(world);
+        g_retire.park_release = false;
+        g_retire.parked = false;
+        auto t = world.runtime->make_thread();
+        auto peer = world.runtime->make_thread();
+        const uint64_t t_rec = static_cast<IdoThread*>(t.get())->rec_off();
+        {
+            rt::RegionCtx ctx;
+            ctx.r[0] = 2;
+            t->run_fase(retire_writer_program(), ctx);
+        }
+        std::thread peer_thread([&] {
+            try {
+                rt::RegionCtx ctx;
+                peer->run_fase(parked_peer_program(), ctx);
+            } catch (const rt::SimCrashException&) {
+            }
+        });
+        while (!g_retire.parked.load())
+            std::this_thread::yield();
+        bool crashed = false;
+        world.runtime->crash_scheduler().arm(k);
+        try {
+            rt::RegionCtx ctx;
+            t->run_fase(unlocked_write_program(), ctx);
+        } catch (const rt::SimCrashException&) {
+            crashed = true;
+        }
+        world.runtime->crash_scheduler().disarm();
+        g_retire.park_release = true;
+        peer_thread.join();
+        t.reset();
+        peer.reset();
+        world.shadow.crash(policy);
+
+        const auto* rec = world.heap.resolve<IdoLogRec>(t_rec);
+        if (rec->recovery_pc != kInactivePc) {
+            EXPECT_EQ(rec->lock_bitmap, 0u)
+                << "B's live record names a lock B never took, k=" << k
+                << " policy " << static_cast<int>(policy);
+            if (rec->lock_bitmap != 0)
+                return false; // recovery would deadlock
+        }
+        world.make_runtime();
+        world.runtime->recover();
+        world.shadow.drain_all();
+        EXPECT_TRUE(retire_lock_free(world)) << "k=" << k;
+        EXPECT_EQ(retire_word(world, g_retire.peer_word), 2u) << "k=" << k;
+        const uint64_t fw = retire_word(world, g_retire.free_word);
+        EXPECT_TRUE(fw == 1 || fw == 2) << "k=" << k;
+        if (!crashed) {
+            EXPECT_EQ(fw, 2u) << "k=" << k;
+        }
+        return crashed;
+    });
+}
+
+TEST(IdoEarlyRetirement, GroupDeleteHitFreesOnlyAfterThePcFence)
+{
+    // A group-mode delete hit retires with its inactive pc trailing
+    // until the batch-close fence.  Its free must trail too: a FREEING
+    // mark that persists next to a dropped pc lets recovery re-run the
+    // unlink region and free the item a second time.  Crash at every
+    // tick up to and including the batch close.
+    apps::MemcachedMini::register_programs();
+    retire_sweep(53000, [](CrashPolicy policy, uint64_t seed, int64_t k) {
+        RecoveryWorld world(seed);
+        uint64_t root = 0;
+        {
+            auto setup = world.runtime->make_thread();
+            root = apps::MemcachedMini::create(*setup, 1, 4);
+            apps::MemcachedMini cache(world.heap, root);
+            for (uint64_t key = 1; key <= 6; ++key)
+                cache.set(*setup, key, key, 100 + key);
+        }
+        world.shadow.drain_all();
+        bool crashed = false;
+        {
+            auto th = world.runtime->make_thread();
+            apps::MemcachedMini cache(world.heap, root);
+            world.runtime->crash_scheduler().arm(k);
+            try {
+                th->begin_persist_group();
+                EXPECT_TRUE(cache.del(*th, 3, 3));
+                cache.set(*th, 4, 4, 204);
+                EXPECT_TRUE(cache.del(*th, 5, 5));
+                th->end_persist_group();
+            } catch (const rt::SimCrashException&) {
+                crashed = true;
+            }
+            world.runtime->crash_scheduler().disarm();
+        }
+        if (!crashed)
+            return false;
+        world.shadow.crash(policy);
+        world.make_runtime();
+        apps::MemcachedMini::register_programs();
+        world.runtime->recover(); // a double free panics here
+        world.shadow.drain_all();
+        EXPECT_TRUE(apps::MemcachedMini::check_invariants(world.heap, root))
+            << "k=" << k << " policy " << static_cast<int>(policy);
+        // The heap still hands out and takes back blocks cleanly.
+        auto th = world.runtime->make_thread();
+        apps::MemcachedMini cache(world.heap, root);
+        for (uint64_t key = 1; key <= 8; ++key)
+            cache.set(*th, key, key, 300 + key);
+        for (uint64_t key = 1; key <= 8; ++key)
+            EXPECT_TRUE(cache.del(*th, key, key)) << "k=" << k;
+        return true;
+    });
 }
 
 } // namespace
